@@ -35,6 +35,7 @@ from .core import (
     compose,
     dual_apply,
     iterate,
+    orbit,
     restrict_space,
     weighted_norm,
 )

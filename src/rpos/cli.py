@@ -24,7 +24,13 @@ from .condition_g import (
     SmallSetSearchError,
     check_condition_g,
 )
-from .core import Measure, SubsetMask, TransferOperator, WeightedFunction
+from .core import (
+    Measure,
+    NonFiniteError,
+    SubsetMask,
+    TransferOperator,
+    WeightedFunction,
+)
 from .models import (
     ConfigError,
     DiffusionModel,
@@ -66,6 +72,7 @@ _USAGE_ERRORS = (
     json.JSONDecodeError,
 )
 _ANALYSIS_ERRORS = (
+    NonFiniteError,
     PowerIterationError,
     SeriesDivergenceError,
     SmallSetSearchError,

@@ -22,10 +22,11 @@ order for which the drift inequality is guaranteed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
-from .core import Measure, SubsetMask, TransferOperator, WeightedFunction
+from .core import Measure, SubsetMask, TransferOperator, WeightedFunction, apply, orbit
 
 
 class SeriesDivergenceError(RuntimeError):
@@ -231,14 +232,14 @@ def check_g2(
     sup_ratio = float(np.max(ratio))
     inf_ratio = float(np.min(ratio[K.member]))
 
-    r1 = (P.kernel @ v1) / v1
+    r1 = apply(P, psi1).values / v1
     outside = ~K.member
     theta1 = float(np.max(r1[outside])) if outside.any() else 0.0
     c2 = float(max(np.max(r1[K.member] - theta1), 0.0))
 
     pos = v2 > 0.0
     if pos.any():
-        r2 = (P.kernel @ v2)[pos] / v2[pos]
+        r2 = apply(P, psi2).values[pos] / v2[pos]
         theta2 = float(np.min(r2))
     else:
         theta2 = 0.0
@@ -280,11 +281,10 @@ def check_g3(
     if np.any(psi1.values[idx] <= 0.0):
         raise ValueError("psi1 must be positive on K")
     v = psi1.values
-    f = v.copy()
     ratios = np.empty(n_max + 1)
     ratios[0] = 1.0
-    for n in range(1, n_max + 1):
-        f = P.kernel @ f
+    steps = orbit(P.kernel, v, lambda image: np.max(image / v) or 1.0)
+    for n, f in enumerate(islice(steps, 1, n_max + 1), start=1):
         top = np.max(f[idx] / v[idx])
         bot = np.min(f[idx] / v[idx])
         if bot <= 0.0:
@@ -296,9 +296,6 @@ def check_g3(
                 ratios=ratios[: n + 1],
             )
         ratios[n] = top / bot
-        peak = np.max(f / v)
-        if peak > 0.0:
-            f = f / peak
     c3 = float(np.max(ratios))
     q = (3 * n_max) // 4
     stabilized = bool(
@@ -328,16 +325,11 @@ def check_g4(
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     idx = K.indices
-    f = psi1.values * K.member
     last_zero = np.zeros(idx.size, dtype=int)
-    for n in range(1, n_max + 1):
-        f = P.kernel @ f
-        zero_now = f[idx] == 0.0
-        last_zero[zero_now] = n
-        peak = f.max()
-        if peak > 0.0:
-            f = f / peak
-        else:
+    steps = orbit(P.kernel, psi1.values * K.member, lambda image: np.max(image) or 1.0)
+    for n, f in enumerate(islice(steps, 1, n_max + 1), start=1):
+        last_zero[f[idx] == 0.0] = n
+        if f.max() <= 0.0:
             last_zero[:] = n_max
             break
     horizon_guard = (3 * n_max) // 4
@@ -347,6 +339,35 @@ def check_g4(
         n4[int(state)] = onset if onset <= horizon_guard else None
     passed = all(v is not None for v in n4.values())
     return G4Result(n4=n4, passed=passed)
+
+
+def _return_terms(P: TransferOperator, K: SubsetMask, theta2: float, ratios: list):
+    """The K-return masses ``theta2^-k P_k 1_K`` for k = 0, 1, ...
+
+    Appends each term's peak over the previous one to ``ratios`` and raises
+    SeriesDivergenceError once a term passes 1e250.
+    """
+    prev_peak = 1.0
+    for k, g in enumerate(orbit(P.kernel, K.member.astype(float), theta2)):
+        if k:
+            peak = float(np.max(g))
+            ratios.append(peak / prev_peak if prev_peak > 0 else np.inf)
+            prev_peak = peak
+            if peak > 1e250:
+                raise SeriesDivergenceError(
+                    f"K-return masses overflowed at order {k}; theta2 is likely "
+                    f"far below the dominant rate (last term ratios {ratios[-3:]})",
+                    reason="overflow",
+                    term_ratios=ratios,
+                )
+        yield g
+
+
+def _rescaled(P: TransferOperator, psi2: np.ndarray, psi1, rescale: bool):
+    if rescale:
+        ref = psi1.values if psi1 is not None else np.ones(P.space.size)
+        psi2 = psi2 / np.max(psi2 / ref)
+    return WeightedFunction(P.space, psi2)
 
 
 def build_psi2(
@@ -367,28 +388,8 @@ def build_psi2(
         raise ValueError("theta2 must be positive")
     if n0 < 0:
         raise ValueError("n0 must be >= 0")
-    g = K.member.astype(float)
-    acc = g.copy()
-    ratios = []
-    prev_peak = 1.0
-    for _ in range(int(n0)):
-        g = (P.kernel @ g) / theta2
-        peak = float(np.max(g))
-        ratios.append(peak / prev_peak if prev_peak > 0 else np.inf)
-        prev_peak = peak
-        if not np.all(np.isfinite(g)) or peak > 1e250:
-            raise SeriesDivergenceError(
-                "drift series overflowed before the requested order; "
-                f"last term ratios {ratios[-3:]}",
-                reason="overflow",
-                term_ratios=ratios,
-            )
-        acc = acc + g
-    psi2 = acc
-    if rescale:
-        ref = psi1.values if psi1 is not None else np.ones(P.space.size)
-        psi2 = psi2 / np.max(psi2 / ref)
-    return WeightedFunction(P.space, psi2)
+    acc = sum(islice(_return_terms(P, K, theta2, []), int(n0) + 1))
+    return _rescaled(P, acc, psi1, rescale)
 
 
 def build_psi2_auto(
@@ -403,30 +404,21 @@ def build_psi2_auto(
 
     Increases n0 until ``theta2^-(n0+1) P_{n0+1} 1_K >= 1`` holds on K, the
     condition under which the truncated series satisfies
-    ``P psi2 >= theta2 psi2`` everywhere. Returns (psi2, n0).
+    ``P psi2 >= theta2 psi2`` everywhere. Returns (psi2, n0); psi2 is the
+    series ``build_psi2`` gives for that n0, summed during the search.
     """
     _require_small_set(K)
     if theta2 <= 0.0:
         raise ValueError("theta2 must be positive")
     idx = K.indices
-    g = K.member.astype(float)
     ratios = []
-    prev_peak = 1.0
-    for k in range(1, int(n0_max) + 2):
-        g = (P.kernel @ g) / theta2
-        peak = float(np.max(g))
-        ratios.append(peak / prev_peak if prev_peak > 0 else np.inf)
-        prev_peak = peak
-        if not np.all(np.isfinite(g)) or peak > 1e250:
-            raise SeriesDivergenceError(
-                "K-return masses overflowed during the order search; theta2 "
-                "is likely far below the dominant rate",
-                reason="overflow",
-                term_ratios=ratios,
-            )
-        if np.min(g[idx]) >= 1.0:
-            n0 = k - 1
-            return build_psi2(P, K, theta2, n0, psi1=psi1, rescale=rescale), n0
+    acc = 0.0
+    for k, g in enumerate(_return_terms(P, K, theta2, ratios)):
+        if k and np.min(g[idx]) >= 1.0:
+            return _rescaled(P, acc, psi1, rescale), k - 1
+        if k > n0_max:
+            break
+        acc = acc + g
     raise SeriesDivergenceError(
         f"order search exhausted n0_max = {n0_max} without reaching the "
         "self-certifying truncation; theta2 may exceed the dominant rate "

@@ -16,6 +16,7 @@ through BLAS with no shared mutable state. Accumulations use 64-bit floats
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, islice
 
 import numpy as np
 
@@ -25,17 +26,13 @@ class SpaceMismatchError(ValueError):
 
 
 class NonFiniteError(ArithmeticError):
-    """A computation produced inf or NaN; carries the first offending index."""
+    """A computation produced inf or NaN; carries the first offending index
+    and, for an orbit, the step at which it appeared."""
 
-    def __init__(self, message: str, index: int | None = None):
+    def __init__(self, message: str, index: int | None = None, step: int | None = None):
         super().__init__(message)
         self.index = index
-
-
-def _readonly(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.flags.writeable = False
-    return arr
+        self.step = step
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,24 +272,14 @@ def apply(P: TransferOperator, f: WeightedFunction) -> WeightedFunction:
     Linear and monotone in f; raises NonFiniteError with the offending row
     index if the product overflows.
     """
-    _check_same_space(P, f)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = P.kernel @ f.values
-    if not np.all(np.isfinite(out)):
-        idx = int(np.argmax(~np.isfinite(out)))
-        raise NonFiniteError(f"apply produced a non-finite value at index {idx}", idx)
-    return WeightedFunction(P.space, out)
+    return iterate(P, 1, f)
 
 
 def dual_apply(mu: Measure, P: TransferOperator) -> Measure:
     """Push a measure through the operator so that (mu P)(f) = mu(P f)."""
     _check_same_space(mu, P)
-    with np.errstate(over="ignore", invalid="ignore"):
-        new_masses = mu.masses @ P.kernel
-    if not np.all(np.isfinite(new_masses)):
-        idx = int(np.argmax(~np.isfinite(new_masses)))
-        raise NonFiniteError(f"dual_apply produced a non-finite mass at {idx}", idx)
-    return Measure(P.space, new_masses / P.space.ref_weights)
+    masses = next(islice(orbit(P.kernel, mu.masses, left=True), 1, None))
+    return Measure(P.space, masses / P.space.ref_weights)
 
 
 def compose(P: TransferOperator, Q: TransferOperator) -> TransferOperator:
@@ -301,14 +288,38 @@ def compose(P: TransferOperator, Q: TransferOperator) -> TransferOperator:
     return TransferOperator(P.space, P.kernel @ Q.kernel, P.step_label + Q.step_label)
 
 
+def orbit(kernel: np.ndarray, v: np.ndarray, divisor=1.0, left: bool = False):
+    """Yield v, then each image ``kernel @ v / divisor`` (``v @ kernel`` if left).
+
+    ``v`` is a vector or a matrix whose columns (rows, if left) move
+    together. ``divisor`` is a constant or a function of the undivided image,
+    so a caller can renormalize each step. The orbit is endless; callers take
+    what they need (``itertools.islice``). Raises NonFiniteError naming the
+    step and the first offending index (for a matrix, its row) at the first
+    iterate holding inf or NaN.
+    """
+    divide = divisor if callable(divisor) else lambda _image: divisor
+    for step in count():
+        if not np.all(np.isfinite(v)):
+            idx = int(np.argwhere(~np.isfinite(v))[0, 0])
+            raise NonFiniteError(
+                f"orbit step {step} is non-finite at index {idx}", idx, step
+            )
+        yield v
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            v = v @ kernel if left else kernel @ v
+            v /= divide(v)
+
+
 def iterate(P: TransferOperator, n: int, f: WeightedFunction) -> WeightedFunction:
     """Apply the operator n times without materializing its n-step kernel."""
     if n < 0 or int(n) != n:
         raise ValueError(f"iteration count must be a nonnegative integer, got {n}")
-    out = f
-    for _ in range(int(n)):
-        out = apply(P, out)
-    return out
+    if n == 0:
+        return f
+    _check_same_space(P, f)
+    out = next(islice(orbit(P.kernel, f.values), int(n), None))
+    return WeightedFunction(P.space, out)
 
 
 def weighted_norm(f: WeightedFunction, psi1: WeightedFunction) -> float:

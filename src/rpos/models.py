@@ -17,12 +17,34 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import ndtr
 
-from .core import Measure, StateSpace, SubsetMask, TransferOperator, WeightedFunction
+from .condition_g import (
+    GReport,
+    SmallSetSearchError,
+    build_psi2_auto,
+    check_condition_g,
+    select_small_set,
+)
+from .core import (
+    Measure,
+    StateSpace,
+    SubsetMask,
+    TransferOperator,
+    WeightedFunction,
+    orbit,
+)
+from .spectral import (
+    ConvergenceReport,
+    SpectralTriple,
+    measure_eq1,
+    measure_eq2,
+    power_iterate,
+)
 from .transforms import tilt_submarkov
 
 
@@ -348,13 +370,10 @@ def uniformized_exponential(
     M = np.eye(n) + B / lam
     mu = lam * dt
     coeff = math.exp(-mu)
-    acc = coeff * np.eye(n)
-    term = np.eye(n)
-    k = 0
-    while True:
-        k += 1
-        term = term @ M
-        coeff *= mu / k
+    acc = np.zeros((n, n))
+    for k, term in enumerate(orbit(M, np.eye(n), left=True)):
+        if k:
+            coeff *= mu / k
         acc += coeff * term
         # stop past the Poisson mode once the term is negligible entrywise
         if k >= mu and coeff * float(np.max(term)) <= tail_rtol * float(np.max(acc)):
@@ -402,9 +421,8 @@ def build_diffusion_generator(
     delta = model.t0 / n_substeps
     step = uniformized_exponential(A, delta, tail_rtol=tail_rtol)
     family = [TransferOperator.identity(space, step_label=0.0)]
-    kern = None
-    for k in range(1, n_substeps + 1):
-        kern = step if kern is None else kern @ step
+    powers = islice(orbit(step, step, left=True), n_substeps)
+    for k, kern in enumerate(powers, start=1):
         family.append(TransferOperator(space, kern, step_label=k * delta))
     psi = WeightedFunction(space, np.exp(pts.sum(axis=1)))
     return DiffusionFamily(
@@ -697,10 +715,10 @@ class PdsAnalysis:
     K: SubsetMask
     psi2: WeightedFunction
     n0: int
-    g_report: "GReport"  # noqa: F821 - imported lazily below
-    triple: "SpectralTriple"  # noqa: F821
-    eq1: "ConvergenceReport"  # noqa: F821
-    eq2: "ConvergenceReport"  # noqa: F821
+    g_report: GReport
+    triple: SpectralTriple
+    eq1: ConvergenceReport
+    eq2: ConvergenceReport
 
 
 def seed_drift_rate(P: TransferOperator, radius_mask: np.ndarray) -> float:
@@ -731,9 +749,6 @@ def run_pds_analysis(
     whose off-set contraction clears that rate with a 10% margin, and the
     drift function is the self-certifying truncated return series.
     """
-    from .condition_g import build_psi2_auto, check_condition_g, select_small_set
-    from .spectral import measure_eq1, measure_eq2, power_iterate
-
     build = build_pds_kernel(model)
     P, psi1 = build.operator, build.psi1
     pts = P.space.points

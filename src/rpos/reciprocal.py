@@ -13,6 +13,7 @@ minorizing measure, then certifies the whole package through the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -23,12 +24,7 @@ from .condition_g import (
     check_g3,
     check_g4,
 )
-from .core import (
-    Measure,
-    SubsetMask,
-    TransferOperator,
-    WeightedFunction,
-)
+from .core import Measure, SubsetMask, TransferOperator, WeightedFunction, orbit
 from .spectral import PowerIterationError, power_iterate
 from .transforms import HTransformRecord, h_transform
 
@@ -86,6 +82,8 @@ class DriftResult:
     C_R: float
     d: float
     n2: int
+    #: masses of nu_R R_n2, the first image of nu_R that charges K
+    reach_masses: np.ndarray
     passed: bool
     full_space: bool
     diagnostics: str = ""
@@ -106,12 +104,7 @@ def build_v0(
         h_record = h_transform(inp.P, inp.eta, inp.theta0, psi1=inp.psi)
     idx = h_record.support.indices
     u = inp.psi.values[idx] / inp.eta.values[idx]
-    g = u.copy()
-    acc = u.copy()
-    R = h_record.transformed.kernel
-    for _ in range(int(m) - 1):
-        g = (R @ g) / lam
-        acc = acc + g
+    acc = sum(islice(orbit(h_record.transformed.kernel, u, lam), int(m)))
     return WeightedFunction(h_record.transformed.space, acc)
 
 
@@ -144,9 +137,10 @@ def find_drift(
             continue
         if not ok[~member].all():
             continue
-        n2 = _accessibility_steps(nu_R, R, member, n_max)
-        if n2 is None:
+        reach = _first_reach(nu_R, R, member, n_max)
+        if reach is None:
             continue
+        n2, reach_masses = reach
         C_R = float(max(np.max((Rv - rho * v0.values)[member]), 0.0))
         full = bool(member.all())
         degenerate = full and not ok.all()
@@ -155,6 +149,7 @@ def find_drift(
             C_R=C_R,
             d=float(d),
             n2=n2,
+            reach_masses=reach_masses,
             passed=not degenerate,
             full_space=full,
             diagnostics="full-space small set required" if degenerate else "",
@@ -165,12 +160,12 @@ def find_drift(
     )
 
 
-def _accessibility_steps(nu_R, R, member, n_max):
-    m = nu_R.masses.copy()
-    for n in range(int(n_max) + 1):
+def _first_reach(nu_R, R, member, n_max):
+    """(n, masses of nu_R R_n) for the first n <= n_max charging the set."""
+    steps = orbit(R.kernel, nu_R.masses, left=True)
+    for n, m in enumerate(islice(steps, int(n_max) + 1)):
         if float(m[member].sum()) > 0.0:
-            return n
-        m = m @ R.kernel
+            return n, m
     return None
 
 
@@ -195,12 +190,7 @@ def extend_psi1(inp: ReciprocalInput, m: int, lam: float) -> WeightedFunction:
         raise ZetaConditionError(
             f"zeta_{m}^(1/{m}) = {z ** (1.0 / m):.6g} exceeds lambda = {lam:.6g}"
         )
-    g = inp.psi.values.copy()
-    acc = g.copy()
-    scale = lam * inp.theta0
-    for _ in range(int(m) - 1):
-        g = (inp.P.kernel @ g) / scale
-        acc = acc + g
+    acc = sum(islice(orbit(inp.P.kernel, inp.psi.values, lam * inp.theta0), int(m)))
     return WeightedFunction(inp.P.space, acc)
 
 
@@ -367,7 +357,7 @@ def certify(
             continue
         psi1 = extend_psi1(inp, m, lam)
         K_full = SubsetMask.from_indices(P.space, idx[drift.K.member])
-        nu = _minorizing_measure(inp, H, nu_R, drift)
+        nu = _minorizing_measure(P, H, u.values, drift)
         g1 = _search_g1(P, K_full, psi1, n1)
         g_report = GReport(
             g1=g1,
@@ -420,18 +410,12 @@ def _search_g1(P, K_full, psi1, n1):
     return best
 
 
-def _minorizing_measure(inp, H, nu_R, drift):
-    """nu = (psi / (a eta)) 1_K d(nu_R R_n2), normalized to a probability."""
-    idx = H.support.indices
-    m = nu_R.masses.copy()
-    for _ in range(drift.n2):
-        m = m @ H.transformed.kernel
+def _minorizing_measure(P, H, u, drift):
+    """nu = (u / a) 1_K d(nu_R R_n2) with u = psi / eta, normalized to a probability."""
+    m = drift.reach_masses
     inside = drift.K.member
     a = float(m[inside].sum())
-    density_sub = np.zeros(idx.size)
     w_sub = H.transformed.space.ref_weights
-    u = inp.psi.values[idx] / inp.eta.values[idx]
-    density_sub[inside] = (u[inside] / a) * (m[inside] / w_sub[inside])
-    density = np.zeros(inp.P.space.size)
-    density[idx] = density_sub
-    return Measure(inp.P.space, density).normalized()
+    density = np.zeros(P.space.size)
+    density[H.support.indices[inside]] = (u[inside] / a) * (m[inside] / w_sub[inside])
+    return Measure(P.space, density).normalized()

@@ -12,7 +12,8 @@ family of skeleton operators on a time grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .core import (
     SpaceMismatchError,
     TransferOperator,
     WeightedFunction,
+    orbit,
 )
 
 def default_burn_in(n_max: int) -> int:
@@ -322,11 +324,8 @@ def measure_eq2(
     _check_dominated(f, psi1)
     scale = mu.mass(psi1)
     limit = mu.mass(eta) * nu_P.mass(f)
-    m = mu.masses.copy()
-    errors = np.empty(n_max + 1)
-    for n in range(n_max + 1):
-        errors[n] = abs(m @ f.values - limit)
-        m = (m @ P.kernel) / theta0
+    masses = islice(orbit(P.kernel, mu.masses, theta0, left=True), n_max + 1)
+    errors = np.array([abs(m @ f.values - limit) for m in masses])
     if burn_in is None:
         burn_in = default_burn_in(n_max)
     return _fit_geometric("eq2", np.arange(n_max + 1), errors, burn_in, scale)
@@ -351,31 +350,18 @@ def measure_eq3(
     """
     if np.any(psi.values <= 0.0):
         raise ValueError("psi must be strictly positive")
-    n = P.space.size
     target = np.outer(eta.values, nu_P.masses)
-    M = np.eye(n)
-    zeta = np.empty(n_max + 1)
-    for k in range(n_max + 1):
-        E = np.abs(M - target) @ psi.values
-        zeta[k] = float(np.max(E / psi.values))
-        M = (P.kernel @ M) / theta0
+    kernels = islice(orbit(P.kernel, np.eye(P.space.size), theta0), n_max + 1)
+    zeta = np.array(
+        [np.max((np.abs(M - target) @ psi.values) / psi.values) for M in kernels]
+    )
     if burn_in is None:
         burn_in = default_burn_in(n_max)
     report = _fit_geometric("eq3", np.arange(n_max + 1), zeta, burn_in, 1.0)
     if report.passed and zeta[burn_in:].size >= 2:
         # Monotone-tail check: the profile must actually have decayed.
         if zeta[-1] > zeta[burn_in] * (1 + 1e-9) and zeta[burn_in] > 0:
-            report = ConvergenceReport(
-                report.target,
-                report.index,
-                report.errors,
-                report.fitted_rate,
-                report.fitted_constant,
-                report.burn_in,
-                report.scale,
-                False,
-                report.details,
-            )
+            report = replace(report, passed=False)
     return report
 
 
@@ -509,10 +495,9 @@ def skeleton_analysis(
     nu_f = triple.nu_P.mass(f)
     limit2 = mu.mass(triple.eta) * nu_f
     grid = [t for t in times if 0.0 <= t < t0]
-    K0 = by_time[t0].kernel
-    m_base = mu.masses.copy()
     ts, e1, e2 = [], [], []
-    for k in range(n_periods):
+    periods = orbit(by_time[t0].kernel, mu.masses, left=True)
+    for k, m_base in enumerate(islice(periods, n_periods)):
         for t in grid:
             m_t = m_base @ by_time[t].kernel if t > 0.0 else m_base
             tt = k * t0 + t
@@ -524,7 +509,6 @@ def skeleton_analysis(
             e2.append(
                 abs((m_t @ f.values) * triple.theta0 ** (-(tt / t0)) - limit2)
             )
-        m_base = m_base @ K0
     ts = np.asarray(ts)
     burn = ts[min(len(ts) - 1, max(5, len(ts) // 5))]
     scale1 = mu.mass(psi1) / max(mu.mass(psi2), 1e-300)

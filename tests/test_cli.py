@@ -107,6 +107,23 @@ class TestReciprocalCommand:
         assert report["certificate"]["stage"] == "ok"
         assert (out / "eq3.csv").exists()
 
+    def test_overflowing_operator_is_analysis_failure(self, tmp_path, capsys):
+        huge = {
+            "points": [[float(i)] for i in range(4)],
+            "ref_weights": [1.0] * 4,
+            "kernel": [[1e307] * 4 for _ in range(4)],
+            "step_label": 1,
+        }
+        op = write_operator(tmp_path, huge)
+        cfg = write_config(tmp_path, f"operator = {op.name}\n")
+        out = tmp_path / "out"
+        code = run(["reciprocal", "--config", cfg, "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("rpos: analysis failed")
+        for path in out.iterdir():
+            text = path.read_text()
+            assert "NaN" not in text and "Infinity" not in text
+
 
 class TestModelRunCommand:
     CFG = (
@@ -141,6 +158,17 @@ class TestModelRunCommand:
         model = pds_from_config(parse_config(cfg))
         assert model.domain_lo is not None
         assert model.domain_lo[0] == -8.0 and model.domain_hi[0] == 8.0
+
+    def test_empty_seed_ball_is_analysis_failure(self, tmp_path, capsys):
+        cfg = self.CFG.replace("grid.n = 160", "grid.n = 4").replace(
+            "grid.L = 8", "grid.L = 10"
+        )
+        cfg_path = write_config(tmp_path, cfg)
+        code = run(["model-run", "--config", cfg_path, "--out", tmp_path / "o"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "rpos: analysis failed: the unit-ball seed contains no grid point\n"
+        )
 
     def test_diffusion_kind_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "model.kind = diffusion\n")

@@ -210,6 +210,8 @@ class TestBuildPsi2:
             psi2, n0 = build_psi2_auto(P, K, theta2, psi1)
             res = check_g2(P, K, psi1, psi2)
             assert res.theta2 >= theta2 * (1 - 1e-12)
+            direct = build_psi2(P, K, theta2, n0, psi1)
+            assert np.array_equal(psi2.values, direct.values)
 
     def test_rate_above_dominant_value_exhausts(self, rng):
         P = make_operator(random_kernel(rng, 6))

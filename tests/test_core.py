@@ -1,4 +1,5 @@
 import json
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from rpos import (
     compose,
     dual_apply,
     iterate,
+    orbit,
     restrict_space,
     weighted_norm,
 )
@@ -143,6 +145,55 @@ class TestIterate:
         lhs = iterate(P, n + m, f).values
         rhs = iterate(P, n, iterate(P, m, f)).values
         assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-290)
+
+
+class TestOrbit:
+    def test_right_and_left_match_matrix_powers(self, rng):
+        K = random_kernel(rng, 5)
+        v = rng.uniform(0.1, 1.0, 5)
+        right = list(islice(orbit(K, v), 6))
+        left = list(islice(orbit(K, v, left=True), 6))
+        assert right[0] is v and left[0] is v
+        for n in range(6):
+            Kn = np.linalg.matrix_power(K, n)
+            assert np.allclose(right[n], Kn @ v, rtol=1e-12)
+            assert np.allclose(left[n], v @ Kn, rtol=1e-12)
+
+    def test_constant_and_callable_divisors(self, rng):
+        K = random_kernel(rng, 4)
+        v = rng.uniform(0.1, 1.0, 4)
+        for n, g in enumerate(islice(orbit(K, v, 2.5), 5)):
+            assert np.allclose(g, np.linalg.matrix_power(K, n) @ v / 2.5**n, rtol=1e-12)
+        for n, g in enumerate(islice(orbit(K, v, np.max), 5)):
+            direction = np.linalg.matrix_power(K, n) @ v
+            expected = direction / np.max(direction) if n else v
+            assert np.allclose(g, expected, rtol=1e-12)
+
+    def test_divisor_sees_the_undivided_image(self, two_state):
+        seen = []
+
+        def halve(image):
+            seen.append(image.copy())
+            return 2.0
+
+        steps = list(islice(orbit(two_state["P"].kernel, np.ones(2), halve), 3))
+        assert np.allclose(seen, [[0.7, 0.7], [0.245, 0.245]], atol=1e-15)
+        assert np.allclose(steps[2], [0.1225, 0.1225], atol=1e-15)
+
+    def test_matrix_start(self, rng):
+        K = random_kernel(rng, 4)
+        for n, M in enumerate(islice(orbit(K, np.eye(4), 3.0), 4)):
+            assert np.allclose(M, np.linalg.matrix_power(K / 3.0, n), rtol=1e-12)
+
+    def test_non_finite_names_step_and_index(self):
+        K = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1e200]])
+        steps = orbit(K, np.array([1.0, 1.0, 1e200]))
+        next(steps)
+        with pytest.raises(NonFiniteError) as err:
+            next(steps)
+        assert err.value.step == 1
+        assert err.value.index == 2
+        assert "step 1" in str(err.value)
 
 
 class TestWeightedNorm:
