@@ -49,6 +49,7 @@ from .spectral import (
     NonConvergingMassError,
     PowerIterationError,
     SemigroupConsistencyError,
+    half_probe,
     measure_eq1,
     measure_eq2,
     measure_eq3,
@@ -127,27 +128,36 @@ def load_operator_bundle(path: Path):
         if name in data:
             try:
                 bundle[name] = WeightedFunction(op.space, data[name])
-            except ValueError as err:
+            except (ValueError, TypeError) as err:
                 raise UsageError(f"malformed operator JSON field '{name}': {err}") from err
+            values = bundle[name].values
+            if name == "psi2" and not np.all(values >= 0.0):
+                raise UsageError("operator JSON field 'psi2' must be nonnegative")
+            if name != "psi2" and not np.all(values > 0.0):
+                raise UsageError(f"operator JSON field '{name}' must be positive")
     if "K" in data:
-        try:
-            bundle["K"] = SubsetMask.from_indices(op.space, data["K"])
-        except (ValueError, IndexError) as err:
-            raise UsageError(f"malformed operator JSON field 'K': {err}") from err
+        bundle["K"] = _small_set(op.space, data["K"], "operator JSON field 'K'")
     return bundle
+
+
+def _small_set(space, tokens, source: str) -> SubsetMask:
+    """The subset named by a nonempty list of state indices, each in 0..N-1."""
+    try:
+        idx = [int(str(tok).strip()) for tok in tokens]
+    except (TypeError, ValueError) as err:
+        raise UsageError(f"{source} must list integer state indices: {err}") from err
+    if not idx:
+        raise UsageError(f"{source} names no state")
+    bad = [i for i in idx if not 0 <= i < space.size]
+    if bad:
+        raise UsageError(f"{source} has indices outside 0..{space.size - 1}: {bad}")
+    return SubsetMask.from_indices(space, idx)
 
 
 def _resolve(cfg, key, config_path):
     rel = _cfg(cfg, key, required=True)
     path = Path(rel)
     return path if path.is_absolute() else config_path.parent / path
-
-
-def _default_probes(op, psi1):
-    mu = Measure.point_mass(op.space, 0)
-    half = np.zeros(op.space.size)
-    half[: op.space.size // 2 + 1] = psi1.values[: op.space.size // 2 + 1]
-    return mu, WeightedFunction(op.space, half)
 
 
 def cmd_spectral(cfg, args, config_path):
@@ -158,7 +168,7 @@ def cmd_spectral(cfg, args, config_path):
     tol = args.tol if args.tol is not None else _cfg(cfg, "tol", 1e-13, float)
     n_max = args.n_max if args.n_max is not None else _cfg(cfg, "n_max", 60, int)
     triple = power_iterate(op, psi1, tol=tol)
-    mu, f = _default_probes(op, psi1)
+    mu, f = Measure.point_mass(op.space, 0), half_probe(psi1)
     eq1 = measure_eq1(op, psi1, psi2, mu, f, n_max, triple=triple)
     eq2 = measure_eq2(op, triple.theta0, triple.eta, triple.nu_P, psi1, mu, f, n_max)
     report = {
@@ -179,8 +189,8 @@ def cmd_check_g(cfg, args, config_path):
     psi1 = bundle.get("psi1", WeightedFunction.ones(op.space))
     psi2 = bundle.get("psi2", psi1)
     if "k.indices" in cfg:
-        idx = [int(tok) for tok in cfg["k.indices"].split(",") if tok.strip()]
-        K = SubsetMask.from_indices(op.space, idx)
+        tokens = [tok for tok in cfg["k.indices"].split(",") if tok.strip()]
+        K = _small_set(op.space, tokens, "config key 'k.indices'")
     else:
         K = bundle.get("K", SubsetMask.full(op.space))
     n1 = _cfg(cfg, "n1", 1, int)
@@ -230,7 +240,7 @@ def pds_from_config(cfg):
         kwargs["domain_hi"] = L
     elif domain != "all":
         raise UsageError(f"model.domain must be 'all' or 'box', got {domain!r}")
-    return PdsModel(
+    kwargs.update(
         F=vector_field(_cfg(cfg, "model.F", required=True), dim),
         G=scalar_field(_cfg(cfg, "model.G", "const:1")),
         noise_sd=_cfg(cfg, "noise.sd", 1.0, float),
@@ -242,13 +252,16 @@ def pds_from_config(cfg):
         dim=dim,
         f_label=cfg.get("model.F", ""),
         g_label=cfg.get("model.G", "const:1"),
-        **kwargs,
     )
+    try:
+        return PdsModel(**kwargs)
+    except ValueError as err:
+        raise UsageError(f"bad map model: {err}") from err
 
 
 def diffusion_from_config(cfg):
     dim = _cfg(cfg, "model.dim", 1, int)
-    return DiffusionModel(
+    kwargs = dict(
         b=vector_field(_cfg(cfg, "model.b", required=True), dim),
         r=scalar_field(_cfg(cfg, "model.r", "const:0")),
         L=_cfg(cfg, "grid.L", required=True, cast=float),
@@ -258,6 +271,10 @@ def diffusion_from_config(cfg):
         b_label=cfg.get("model.b", ""),
         r_label=cfg.get("model.r", "const:0"),
     )
+    try:
+        return DiffusionModel(**kwargs)
+    except ValueError as err:
+        raise UsageError(f"bad diffusion model: {err}") from err
 
 
 def cmd_model_run(cfg, args, config_path):
@@ -270,6 +287,14 @@ def cmd_model_run(cfg, args, config_path):
     model = pds_from_config(cfg)
     n_max = args.n_max if args.n_max is not None else _cfg(cfg, "n_max", 100, int)
     eq_n_max = _cfg(cfg, "report.n_max", 40, int)
+    if eq_n_max < 0:
+        raise UsageError(f"report.n_max must be nonnegative, got {eq_n_max}")
+    n_traj = _cfg(cfg, "mc.n_traj", 0, int)
+    if n_traj and n_traj < 100:
+        raise UsageError(f"mc.n_traj must be 0 or at least 100, got {n_traj}")
+    seed = args.seed if args.seed is not None else _cfg(cfg, "mc.seed", 0, int)
+    if n_traj and not 0 <= seed < 2**128:
+        raise UsageError(f"the Monte Carlo seed must lie in 0..2**128 - 1, got {seed}")
     analysis = run_pds_analysis(model, n_g=n_max, eq_n_max=eq_n_max)
     report = {
         "schema": SCHEMA,
@@ -285,8 +310,6 @@ def cmd_model_run(cfg, args, config_path):
         "eq1": analysis.eq1.to_dict(),
         "eq2": analysis.eq2.to_dict(),
     }
-    n_traj = _cfg(cfg, "mc.n_traj", 0, int)
-    seed = args.seed if args.seed is not None else _cfg(cfg, "mc.seed", 0, int)
     if n_traj:
         op, psi1 = analysis.build.operator, analysis.build.psi1
         i0 = int(np.argmin(np.linalg.norm(op.space.points, axis=1)))
@@ -324,11 +347,10 @@ def cmd_skeleton(cfg, args, config_path):
         raise UsageError(f"skeleton supports model.kind = diffusion (got {kind!r})")
     model = diffusion_from_config(cfg)
     n_substeps = _cfg(cfg, "skeleton.substeps", 8, int)
+    if n_substeps < 1:
+        raise UsageError(f"skeleton.substeps must be at least 1, got {n_substeps}")
     family = build_diffusion_generator(model, n_substeps=n_substeps)
-    triple_psi2 = power_iterate(family.at_t0, family.psi)
-    sk = skeleton_analysis(
-        family.family, model.t0, family.psi, triple_psi2.eta
-    )
+    sk = skeleton_analysis(family.family, model.t0, family.psi)
     gir = girsanov_check(model, family=family)
     report = {
         "schema": SCHEMA,

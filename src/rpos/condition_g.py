@@ -180,28 +180,43 @@ def check_g1(
     ``M(x, j) = P_n1(psi1 1_{j})(x) / psi1(x)`` the raw masses are
     ``nu_raw(j) = min_x M(x, j)``, c1 is their sum and nu = nu_raw / c1.
     """
-    _require_small_set(K)
     if n1 < 1:
         raise ValueError(f"n1 must be >= 1, got {n1}")
+    return next(check_g1_horizons(P, K, psi1, [n1]))
+
+
+def check_g1_horizons(
+    P: TransferOperator, K: SubsetMask, psi1: WeightedFunction, horizons
+):
+    """Yield ``check_g1(P, K, psi1, n1)`` for each n1 of the increasing
+    ``horizons``, all read off one orbit of the K rows of P, so horizon n1
+    costs n1 - 1 products of a ``|K| x N`` block and no N x N power.
+    """
+    _require_small_set(K)
     idx = K.indices
     if np.any(psi1.values[idx] <= 0.0):
         raise ValueError("psi1 must be positive on K")
-    Kn = np.linalg.matrix_power(P.kernel, int(n1))
-    v = psi1.values
-    M = Kn[np.ix_(idx, idx)] * (v[idx][None, :] / v[idx][:, None])
-    nu_raw = M.min(axis=0)
-    c1 = float(nu_raw.sum())
-    density = np.zeros(P.space.size)
-    if c1 > 0.0:
-        density[idx] = nu_raw / (c1 * P.space.ref_weights[idx])
-    return G1Result(
-        c1=c1,
-        nu=Measure(P.space, density),
-        n1=int(n1),
-        passed=bool(c1 > 0.0),
-        minor_matrix=M,
-        nu_raw=nu_raw,
-    )
+    v = psi1.values[idx]
+    ratio = v[None, :] / v[:, None]
+    rows = orbit(P.kernel, P.kernel[idx], left=True)  # K rows of P_1, P_2, ...
+    reached = 0
+    for n1 in horizons:
+        block = next(islice(rows, n1 - reached - 1, None))[:, idx]
+        reached = n1
+        M = block * ratio
+        nu_raw = M.min(axis=0)
+        c1 = float(nu_raw.sum())
+        density = np.zeros(P.space.size)
+        if c1 > 0.0:
+            density[idx] = nu_raw / (c1 * P.space.ref_weights[idx])
+        yield G1Result(
+            c1=c1,
+            nu=Measure(P.space, density),
+            n1=int(n1),
+            passed=bool(c1 > 0.0),
+            minor_matrix=M,
+            nu_raw=nu_raw,
+        )
 
 
 def check_g2(

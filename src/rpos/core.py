@@ -20,6 +20,11 @@ from itertools import count, islice
 
 import numpy as np
 
+#: Relative size below which a quantity is round-off: the floor of every
+#: convergence fit, the slack of the pointwise and row-mass comparisons, the
+#: support threshold of the h-transform and the Poisson tail cut-off.
+ROUNDOFF_REL = 1e-12
+
 
 class SpaceMismatchError(ValueError):
     """Operands were built on different state spaces."""
@@ -299,6 +304,7 @@ def orbit(kernel: np.ndarray, v: np.ndarray, divisor=1.0, left: bool = False):
     iterate holding inf or NaN.
     """
     divide = divisor if callable(divisor) else lambda _image: divisor
+    rescale = callable(divisor) or divisor != 1.0  # x / 1.0 == x: skip the pass
     for step in count():
         if not np.all(np.isfinite(v)):
             idx = int(np.argwhere(~np.isfinite(v))[0, 0])
@@ -308,7 +314,8 @@ def orbit(kernel: np.ndarray, v: np.ndarray, divisor=1.0, left: bool = False):
         yield v
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             v = v @ kernel if left else kernel @ v
-            v /= divide(v)
+            if rescale:
+                v /= divide(v)
 
 
 def iterate(P: TransferOperator, n: int, f: WeightedFunction) -> WeightedFunction:

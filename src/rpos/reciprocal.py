@@ -20,6 +20,7 @@ import numpy as np
 from .condition_g import (
     GReport,
     check_g1,
+    check_g1_horizons,
     check_g2,
     check_g3,
     check_g4,
@@ -400,14 +401,11 @@ def certify(
 def _search_g1(P, K_full, psi1, n1):
     if n1 is not None:
         return check_g1(P, K_full, psi1, n1)
-    cand = 1
-    best = None
-    while cand <= 2 * P.space.size:
-        best = check_g1(P, K_full, psi1, cand)
-        if best.passed:
-            return best
-        cand *= 2
-    return best
+    doublings = [2**k for k in range((2 * P.space.size).bit_length())]
+    for g1 in check_g1_horizons(P, K_full, psi1, doublings):
+        if g1.passed:
+            break
+    return g1
 
 
 def _minorizing_measure(P, H, u, drift):

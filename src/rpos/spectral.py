@@ -12,23 +12,19 @@ family of skeleton operators on a time grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
 from .core import (
+    ROUNDOFF_REL,
     Measure,
     SpaceMismatchError,
     TransferOperator,
     WeightedFunction,
     orbit,
 )
-
-def default_burn_in(n_max: int) -> int:
-    """Steps treated as transient before rate fitting."""
-    return max(5, n_max // 5)
-
 
 class PowerIterationError(RuntimeError):
     """Iteration failed to converge; carries the relative residual history."""
@@ -162,7 +158,6 @@ class ConvergenceReport:
     burn_in: float
     scale: float
     passed: bool
-    details: dict = field(default_factory=dict)
 
     def bound(self) -> np.ndarray:
         if self.fitted_rate <= 0.0:
@@ -188,52 +183,43 @@ class ConvergenceReport:
         }
 
 
-_ROUNDOFF_REL = 1e-12
+_SLACK = 1 + 1e-9  # relative slack of the fit's own comparisons
 
 
-def _fit_geometric(target, index, errors, burn_in, scale, extra=None):
-    """Least-squares geometric fit with plateau and transient guards.
+def _fit_geometric(target, index, errors, scale):
+    """Least-squares geometric fit: the one place a verdict is decided.
 
-    A post-burn-in tail entirely below ``_ROUNDOFF_REL`` times the profile
-    peak has converged to round-off and passes degenerately with rate 0.
-    Otherwise sub-floor plateau points are excluded; if that leaves too few
-    points the burn-in is relaxed to the second sample (the profile decayed
-    faster than the default burn-in). The fit then trims its window from
-    the left while the dominating constant exceeds twice the least-squares
-    constant, so a slow early transient cannot masquerade as the asymptotic
-    rate; the reported burn_in is the effective start of the final window.
+    The window starts at sample ``max(5, (len - 1) // 5)`` (empty, and a
+    fail, for five samples or fewer). A window at or below the round-off
+    floor, ``ROUNDOFF_REL`` times the profile peak, passes degenerately
+    with rate 0. Otherwise sub-floor points are excluded; if that leaves
+    too few the window is relaxed to the second sample (the profile decayed
+    faster than the burn-in). The fit then trims its window from the left
+    while the dominating constant exceeds twice the least-squares constant,
+    so a slow early transient cannot masquerade as the asymptotic rate; the
+    reported burn_in is the start of the final window. A pass also needs a
+    decayed tail: a last error above the floor may not exceed the window's
+    first.
     """
+    start = max(5, (len(index) - 1) // 5)
+    burn_in = np.asarray(index)[start].item() if start < len(index) else start
     index = np.asarray(index, dtype=float)
     errors = np.asarray(errors, dtype=float)
-    window = index >= burn_in
+    if start >= index.size:
+        return ConvergenceReport(target, index, errors, 0.0, 0.0, burn_in, scale, False)
+    window = np.arange(index.size) >= start
     tail = errors[window]
-    details = dict(extra or {})
-    peak = float(np.max(errors)) if errors.size else 0.0
-    floor = peak * _ROUNDOFF_REL
-    if tail.size == 0:
-        return ConvergenceReport(
-            target, index, errors, 0.0, 0.0, burn_in, scale, False, details
-        )
+    floor = float(np.max(errors)) * ROUNDOFF_REL
     if np.max(tail) <= floor:
         # Converged to round-off before the burn-in window: degenerate pass.
-        return ConvergenceReport(
-            target, index, errors, 0.0, 0.0, burn_in, scale, True, details
-        )
+        return ConvergenceReport(target, index, errors, 0.0, 0.0, burn_in, scale, True)
     keep = window & (errors > floor)
-    if np.count_nonzero(keep) < 3 and index.size > 1:
-        keep = (index >= index[1]) & (errors > floor)
-        details["burn_in_relaxed"] = True
     if np.count_nonzero(keep) < 3:
+        keep = (index >= index[1]) & (errors > floor)
+    if np.count_nonzero(keep) < 3:
+        c_tail = float(np.max(tail)) / scale
         return ConvergenceReport(
-            target,
-            index,
-            errors,
-            0.0,
-            float(np.max(tail)) / scale,
-            burn_in,
-            scale,
-            False,
-            details,
+            target, index, errors, 0.0, c_tail, burn_in, scale, False
         )
     rate = c_lsq = c_dom = 0.0
     for _ in range(8):
@@ -245,20 +231,21 @@ def _fit_geometric(target, index, errors, burn_in, scale, extra=None):
         with np.errstate(over="ignore"):
             dom = errors[keep] / np.power(rate, x)
         c_dom = float(np.max(dom)) / scale if np.all(np.isfinite(dom)) else np.inf
-        if c_dom * scale <= 2.0 * c_lsq * (1 + 1e-9) or np.count_nonzero(keep) < 6:
+        if c_dom * scale <= 2.0 * c_lsq * _SLACK or np.count_nonzero(keep) < 6:
             break
         kept = np.flatnonzero(keep)
         keep[kept[: max(1, kept.size // 3)]] = False
-    passed = bool(0.0 < rate < 1.0 and c_dom * scale <= 2.0 * c_lsq * (1 + 1e-9))
-    details["lsq_constant"] = c_lsq
+    passed = bool(0.0 < rate < 1.0 and c_dom * scale <= 2.0 * c_lsq * _SLACK)
+    if errors[-1] > floor and errors[-1] > errors[start] * _SLACK:
+        passed = False  # the profile has not decayed across the window
     effective_burn = float(np.min(index[keep]))
     return ConvergenceReport(
-        target, index, errors, rate, c_dom, effective_burn, scale, passed, details
+        target, index, errors, rate, c_dom, effective_burn, scale, passed
     )
 
 
 def _check_dominated(f: WeightedFunction, psi1: WeightedFunction):
-    if np.any(np.abs(f.values) > psi1.values * (1 + 1e-12)):
+    if np.any(np.abs(f.values) > psi1.values * (1 + ROUNDOFF_REL)):
         raise ValueError("test function must satisfy |f| <= psi1 pointwise")
 
 
@@ -269,7 +256,6 @@ def measure_eq1(
     mu: Measure,
     f: WeightedFunction,
     n_max: int,
-    burn_in: int | None = None,
     triple: SpectralTriple | None = None,
 ) -> ConvergenceReport:
     """Profile of |mu P_n f / mu P_n psi1 - nu_P(f)| over n = 0..n_max.
@@ -296,9 +282,7 @@ def measure_eq1(
             )
         errors[n] = abs((m @ f.values) / b - nu_f)
         m = (m / b) @ P.kernel
-    if burn_in is None:
-        burn_in = default_burn_in(n_max)
-    return _fit_geometric("eq1", np.arange(n_max + 1), errors, burn_in, scale)
+    return _fit_geometric("eq1", np.arange(n_max + 1), errors, scale)
 
 
 class NonConvergingMassError(ArithmeticError):
@@ -314,7 +298,6 @@ def measure_eq2(
     mu: Measure,
     f: WeightedFunction,
     n_max: int,
-    burn_in: int | None = None,
 ) -> ConvergenceReport:
     """Profile of |theta0^-n mu P_n f - mu(eta) nu_P(f)| over n = 0..n_max.
 
@@ -326,9 +309,7 @@ def measure_eq2(
     limit = mu.mass(eta) * nu_P.mass(f)
     masses = islice(orbit(P.kernel, mu.masses, theta0, left=True), n_max + 1)
     errors = np.array([abs(m @ f.values - limit) for m in masses])
-    if burn_in is None:
-        burn_in = default_burn_in(n_max)
-    return _fit_geometric("eq2", np.arange(n_max + 1), errors, burn_in, scale)
+    return _fit_geometric("eq2", np.arange(n_max + 1), errors, scale)
 
 
 def measure_eq3(
@@ -338,7 +319,6 @@ def measure_eq3(
     nu_P: Measure,
     psi: WeightedFunction,
     n_max: int,
-    burn_in: int | None = None,
 ) -> ConvergenceReport:
     """Uniform profile zeta_n of the normalized semigroup against psi.
 
@@ -355,14 +335,7 @@ def measure_eq3(
     zeta = np.array(
         [np.max((np.abs(M - target) @ psi.values) / psi.values) for M in kernels]
     )
-    if burn_in is None:
-        burn_in = default_burn_in(n_max)
-    report = _fit_geometric("eq3", np.arange(n_max + 1), zeta, burn_in, 1.0)
-    if report.passed and zeta[burn_in:].size >= 2:
-        # Monotone-tail check: the profile must actually have decayed.
-        if zeta[-1] > zeta[burn_in] * (1 + 1e-9) and zeta[burn_in] > 0:
-            report = replace(report, passed=False)
-    return report
+    return _fit_geometric("eq3", np.arange(n_max + 1), zeta, 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -426,28 +399,31 @@ def _consistency_residual(by_time):
     return worst, worst_pair
 
 
-def skeleton_analysis(
-    family,
-    t0: float,
-    psi1: WeightedFunction,
-    psi2: WeightedFunction,
-    mu: Measure | None = None,
-    f: WeightedFunction | None = None,
-    n_periods: int = 8,
-    consistency_tol: float = 1e-8,
-    tol: float = 1e-13,
-) -> SkeletonReport:
+def half_probe(psi1: WeightedFunction) -> WeightedFunction:
+    """The default test function: psi1 on the first half of the points, 0 after."""
+    n = psi1.space.size
+    half = np.zeros(n)
+    half[: n // 2 + 1] = psi1.values[: n // 2 + 1]
+    return WeightedFunction(psi1.space, half)
+
+
+_SKELETON_PERIODS = 8
+_CONSISTENCY_TOL = 1e-8
+
+
+def skeleton_analysis(family, t0: float, psi1: WeightedFunction) -> SkeletonReport:
     """Continuous-time analysis of a semigroup from its skeleton operators.
 
     ``family`` is a list of TransferOperators whose ``step_label`` fields are
     the (real) times of a grid containing t0 and intermediate times in
     [0, t0]. The family must satisfy the semigroup identity on the grid
-    within ``consistency_tol``; the growth rate is
-    ``lambda0 = log(theta0) / t0`` from the t0 operator, and the sandwich
-    constants bound P_t psi1 / psi1 from above and P_t psi2 / psi2 from
-    below over the grid times inside [0, t0]. The convergence profiles are
-    measured on the grid extended by composing with the t0 operator for
-    ``n_periods`` periods.
+    within 1e-8; the eigen triple of the t0 operator gives the growth rate
+    ``lambda0 = log(theta0) / t0`` and, as its eigenfunction eta, the lower
+    weight psi2. The sandwich constants bound P_t psi1 / psi1 from above
+    and P_t psi2 / psi2 from below over the grid times inside [0, t0]. The
+    convergence profiles start from the uniform measure, test
+    ``half_probe(psi1)`` and run over the grid extended by composing with
+    the t0 operator for 8 periods.
     """
     if not family:
         raise ValueError("family must contain at least one operator")
@@ -463,12 +439,13 @@ def skeleton_analysis(
     if t0 not in by_time:
         raise ValueError(f"family does not contain the skeleton time t0 = {t0}")
     resid, pair = _consistency_residual(by_time)
-    if resid > consistency_tol:
+    if resid > _CONSISTENCY_TOL:
         raise SemigroupConsistencyError(
             f"family violates the semigroup law at pair {pair} "
-            f"(residual {resid:.3e} > {consistency_tol:g})"
+            f"(residual {resid:.3e} > {_CONSISTENCY_TOL:g})"
         )
-    triple = power_iterate(by_time[t0], psi1, tol=tol)
+    triple = power_iterate(by_time[t0], psi1)
+    psi2 = triple.eta
     lambda0 = float(np.log(triple.theta0) / t0)
 
     head = [t for t in times if 0.0 <= t <= t0]
@@ -484,20 +461,15 @@ def skeleton_analysis(
                 float(np.min((K @ psi2.values)[pos2] / psi2.values[pos2])),
             )
 
-    if mu is None:
-        mu = Measure.uniform(space)
-    if f is None:
-        half = np.zeros(space.size)
-        half[: space.size // 2 + 1] = psi1.values[: space.size // 2 + 1]
-        f = WeightedFunction(space, half)
-    _check_dominated(f, psi1)
+    mu = Measure.uniform(space)
+    f = half_probe(psi1)
 
     nu_f = triple.nu_P.mass(f)
     limit2 = mu.mass(triple.eta) * nu_f
     grid = [t for t in times if 0.0 <= t < t0]
     ts, e1, e2 = [], [], []
     periods = orbit(by_time[t0].kernel, mu.masses, left=True)
-    for k, m_base in enumerate(islice(periods, n_periods)):
+    for k, m_base in enumerate(islice(periods, _SKELETON_PERIODS)):
         for t in grid:
             m_t = m_base @ by_time[t].kernel if t > 0.0 else m_base
             tt = k * t0 + t
@@ -509,11 +481,9 @@ def skeleton_analysis(
             e2.append(
                 abs((m_t @ f.values) * triple.theta0 ** (-(tt / t0)) - limit2)
             )
-    ts = np.asarray(ts)
-    burn = ts[min(len(ts) - 1, max(5, len(ts) // 5))]
     scale1 = mu.mass(psi1) / max(mu.mass(psi2), 1e-300)
-    rep1 = _fit_geometric("eq1cont", ts, np.asarray(e1), burn, scale1)
-    rep2 = _fit_geometric("eq2cont", ts, np.asarray(e2), burn, mu.mass(psi1))
+    rep1 = _fit_geometric("eq1cont", ts, e1, scale1)
+    rep2 = _fit_geometric("eq2cont", ts, e2, mu.mass(psi1))
     return SkeletonReport(
         lambda0=lambda0,
         c_bar=c_bar,

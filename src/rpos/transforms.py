@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    ROUNDOFF_REL,
     SubsetMask,
     TransferOperator,
     WeightedFunction,
@@ -21,8 +22,6 @@ from .core import (
     restrict_space,
     weighted_norm,
 )
-
-SUB_MARKOV_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,7 +99,7 @@ def tilt_submarkov(
         tilted=tilted,
         row_masses=row_masses,
         max_row_mass=max_row_mass,
-        sub_markov=bool(max_row_mass <= 1.0 + SUB_MARKOV_TOL),
+        sub_markov=bool(max_row_mass <= 1.0 + ROUNDOFF_REL),
     )
 
 
@@ -109,12 +108,11 @@ def h_transform(
     eta: WeightedFunction,
     theta0: float,
     psi1: WeightedFunction | None = None,
-    support_rtol: float = 1e-12,
 ) -> HTransformRecord:
     """Divide out a nonnegative (near-)eigenfunction with eigenvalue theta0.
 
     The support is ``{eta > eps_eta}`` with
-    ``eps_eta = support_rtol * weighted_norm(eta, psi1)`` (psi1 defaulting to
+    ``eps_eta = ROUNDOFF_REL * weighted_norm(eta, psi1)`` (psi1 defaulting to
     the constant function), since a vanishing eigenfunction carries no
     numerical support threshold of its own.
     """
@@ -123,7 +121,7 @@ def h_transform(
     if np.any(eta.values < 0.0):
         raise ValueError("eta must be nonnegative")
     ref = psi1 if psi1 is not None else WeightedFunction.ones(P.space)
-    eps_eta = support_rtol * weighted_norm(eta, ref)
+    eps_eta = ROUNDOFF_REL * weighted_norm(eta, ref)
     member = eta.values > eps_eta
     if not member.any():
         raise ValueError(

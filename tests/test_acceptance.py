@@ -254,11 +254,9 @@ def test_criterion_9_diffusion_model():
         t0=1.0,
     )
     fam8 = build_diffusion_generator(model, n_substeps=8)
-    tr8 = power_iterate(fam8.at_t0, fam8.psi)
-    sk8 = skeleton_analysis(fam8.family, model.t0, fam8.psi, tr8.eta)
+    sk8 = skeleton_analysis(fam8.family, model.t0, fam8.psi)
     fam16 = build_diffusion_generator(model, n_substeps=16)
-    tr16 = power_iterate(fam16.at_t0, fam16.psi)
-    sk16 = skeleton_analysis(fam16.family, model.t0, fam16.psi, tr16.eta)
+    sk16 = skeleton_analysis(fam16.family, model.t0, fam16.psi)
     assert np.isfinite(sk8.c_bar) and sk8.c_under > 0.0
     assert sk8.passed
     rel = abs(sk8.lambda0 - sk16.lambda0) / abs(sk8.lambda0)

@@ -1,6 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpos.cli import main
 
@@ -233,3 +237,125 @@ class TestReproducibility:
         assert run(["model-run", "--config", cfg, "--out", out2, "--quiet"]) == 0
         for name in ("report.json", "kernel.json", "eq1.csv", "eq2.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+THREE = dict(
+    TWO_STATE,
+    points=[[0.0], [1.0], [2.0]],
+    ref_weights=[1.0, 1.0, 1.0],
+    kernel=[[0.5, 0.2, 0.1], [0.1, 0.6, 0.2], [0.2, 0.2, 0.4]],
+)
+MAP_CFG = (
+    "model.kind = pds\nmodel.F = linear:0.25\nmodel.p = 2\nmodel.a = 2\n"
+    "grid.n = 40\ngrid.L = 10\n"
+)
+SKELETON_CFG = "model.kind = diffusion\nmodel.b = affine:1,-1\ngrid.L = 12\n"
+
+#: command, config text, operator JSON (or None)
+MALFORMED = {
+    "noise-sd-zero": ("model-run", MAP_CFG + "noise.sd = 0\n", None),
+    "dim-3": ("model-run", MAP_CFG + "model.dim = 3\n", None),
+    "grid-n-zero": ("model-run", MAP_CFG.replace("grid.n = 40", "grid.n = 0"), None),
+    "n-traj-5": ("model-run", MAP_CFG + "mc.n_traj = 5\n", None),
+    "skeleton-grid-n-1": ("skeleton", SKELETON_CFG + "grid.n = 1\n", None),
+    "skeleton-substeps-0": (
+        "skeleton", SKELETON_CFG + "grid.n = 200\nskeleton.substeps = 0\n", None
+    ),
+    "zero-psi": ("reciprocal", "", dict(THREE, psi=[1.0, 0.0, 1.0])),
+    "negative-psi1": ("spectral", "", dict(THREE, psi1=[1.0, -1.0, 1.0])),
+    "negative-psi2": ("check-g", "", dict(THREE, psi2=[1.0, -1.0, 1.0])),
+    "k-indices-empty": ("check-g", "k.indices =\n", THREE),
+    "k-index-past-end": ("check-g", "k.indices = 7\n", THREE),
+    "k-index-not-a-number": ("check-g", "k.indices = a\n", THREE),
+    "k-index-negative": ("check-g", "k.indices = -1\n", THREE),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_a_usage_error(tmp_path, capsys, case):
+    command, text, operator = MALFORMED[case]
+    if operator is not None:
+        text = f"operator = {write_operator(tmp_path, operator).name}\n" + text
+    cfg = write_config(tmp_path, text)
+    code = run([command, "--config", cfg, "--out", tmp_path / "o"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("rpos: error: ")
+
+
+#: Per command: the values each documented key accepts, then the values (None:
+#: the key left out) that must end in exit code 2 or in a typed analysis error.
+MODEL_RUN_KEYS = (
+    {
+        "model.kind": ["pds"],
+        "model.F": ["linear:0.25", "const:0.5", "zero", "affine:0.1,0.5"],
+        "model.G": ["const:1", "exp_abs:0.1"],
+        "model.p": ["2", "3"],
+        "model.a": ["2", "1.5"],
+        "model.dim": ["1", "2"],
+        "model.domain": ["all", "box"],
+        "noise.sd": ["1", "0.8"],
+        "grid.n": ["1", "2", "5", "12"],
+        "grid.L": ["10", "8"],
+        "report.n_max": ["40", "3", "0"],
+        "mc.n_traj": ["0", "100"],
+        "mc.seed": ["3", "0"],
+    },
+    {
+        "model.kind": [None, "diffusion", "x"],
+        "model.F": [None, "linear:3", "linear", "x:1"],
+        "model.G": ["const:0", "zero", "affine_sum:1"],
+        "model.p": [None, "1", "x"],
+        "model.a": [None, "0.5", "-1"],
+        "model.dim": ["3", "0", "x"],
+        "model.domain": ["disk"],
+        "noise.sd": ["0", "-1", "x"],
+        "grid.n": [None, "0", "-3", "x"],
+        "grid.L": [None, "0", "-2", "4"],
+        "report.n_max": ["-1", "x"],
+        "mc.n_traj": ["5", "-1", "x"],
+        "mc.seed": ["-1", "x"],
+    },
+)
+SKELETON_KEYS = (
+    {
+        "model.kind": ["diffusion"],
+        "model.b": ["affine:1,-1", "const:0.5", "zero", "linear:-1"],
+        "model.r": ["const:0", "const:-0.5", "affine_sum:0,-0.1", "zero"],
+        "model.dim": ["1", "2"],
+        "grid.n": ["2", "6", "12"],
+        "grid.L": ["3", "6"],
+        "skeleton.t0": ["1", "0.25"],
+        "skeleton.substeps": ["8", "2", "1"],
+    },
+    {
+        "model.kind": [None, "pds"],
+        "model.b": [None, "affine:1", "x"],
+        "model.r": ["x:1"],
+        "model.dim": ["3", "x"],
+        "grid.n": [None, "1", "0", "x"],
+        "grid.L": [None, "0", "-1", "x"],
+        "skeleton.t0": ["0", "-1", "x"],
+        "skeleton.substeps": ["0", "-1", "x"],
+    },
+)
+
+
+def _configs(command, keys):
+    """A valid config with up to two keys replaced by invalid values."""
+    valid, invalid = keys
+    base = st.fixed_dictionaries({k: st.sampled_from(v) for k, v in valid.items()})
+    broken = st.sampled_from([(k, v) for k, vals in invalid.items() for v in vals])
+    return st.tuples(st.just(command), base, st.lists(broken, max_size=2))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_configs("model-run", MODEL_RUN_KEYS) | _configs("skeleton", SKELETON_KEYS))
+def test_small_configs_exit_with_a_code(drawn):
+    # Any config, valid or not, ends in exit code 0, 1 or 2, never a traceback.
+    command, entries, broken = drawn
+    entries = {**entries, **dict(broken)}
+    text = "".join(f"{k} = {v}\n" for k, v in entries.items() if v is not None)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), text)
+        code = run([command, "--config", cfg, "--out", Path(tmp) / "o", "--quiet"])
+    assert code in (0, 1, 2)

@@ -11,6 +11,7 @@ from rpos import (
     build_psi2_auto,
     check_condition_g,
     check_g1,
+    check_g1_horizons,
     check_g2,
     check_g3,
     check_g4,
@@ -76,6 +77,19 @@ class TestG1:
         t_small = check_g2(P, small, psi, psi2).theta1
         t_big = check_g2(P, big, psi, psi2).theta1
         assert t_big <= t_small + 1e-15
+
+    def test_horizons_match_matrix_powers(self, rng):
+        P = make_operator(random_kernel(rng, 9))
+        psi = WeightedFunction(P.space, rng.uniform(0.3, 2.0, 9))
+        K = SubsetMask.from_indices(P.space, [1, 4, 6])
+        idx, v = K.indices, psi.values[K.indices]
+        results = list(check_g1_horizons(P, K, psi, [1, 2, 5, 8]))
+        assert [res.n1 for res in results] == [1, 2, 5, 8]
+        for res in results:
+            Kn = np.linalg.matrix_power(P.kernel, res.n1)
+            expect = Kn[np.ix_(idx, idx)] * (v[None, :] / v[:, None])
+            assert np.allclose(res.minor_matrix, expect, rtol=1e-12)
+            assert res.c1 == check_g1(P, K, psi, res.n1).c1
 
     def test_rejects_bad_inputs(self, two_state):
         with pytest.raises(ValueError):

@@ -15,7 +15,6 @@ from rpos import (
     girsanov_check,
     iterate,
     mc_feynman_kac,
-    power_iterate,
     run_pds_analysis,
     scalar_field,
     skeleton_analysis,
@@ -209,8 +208,7 @@ class TestDiffusion:
             t0=1.0,
         )
         fam = build_diffusion_generator(model, n_substeps=8)
-        tr = power_iterate(fam.at_t0, fam.psi)
-        rep = skeleton_analysis(fam.family, model.t0, fam.psi, tr.eta)
+        rep = skeleton_analysis(fam.family, model.t0, fam.psi)
         assert rep.consistency_residual <= 1e-12
         assert rep.passed
         assert rep.lambda0 < 0.0  # killing at the origin boundary
