@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -108,6 +109,22 @@ def _cfg(cfg, key, default=None, cast=str, required=False):
         raise UsageError(f"config key '{key}' has a bad value {cfg[key]!r}") from err
 
 
+def _n_max(cfg, args, default):
+    """The horizon from --n-max, else config key n_max; at least 1."""
+    n_max = args.n_max if args.n_max is not None else _cfg(cfg, "n_max", default, int)
+    if n_max < 1:
+        raise UsageError(f"n_max must be at least 1, got {n_max}")
+    return n_max
+
+
+def _tol(cfg, args, default):
+    """The tolerance from --tol, else config key tol; positive and finite."""
+    tol = args.tol if args.tol is not None else _cfg(cfg, "tol", default, float)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise UsageError(f"tol must be a positive finite number, got {tol}")
+    return tol
+
+
 def load_operator_bundle(path: Path):
     """Operator JSON plus optional weight/subset companions.
 
@@ -165,8 +182,8 @@ def cmd_spectral(cfg, args, config_path):
     op = bundle["operator"]
     psi1 = bundle.get("psi1", WeightedFunction.ones(op.space))
     psi2 = bundle.get("psi2", psi1)
-    tol = args.tol if args.tol is not None else _cfg(cfg, "tol", 1e-13, float)
-    n_max = args.n_max if args.n_max is not None else _cfg(cfg, "n_max", 60, int)
+    tol = _tol(cfg, args, 1e-13)
+    n_max = _n_max(cfg, args, 60)
     triple = power_iterate(op, psi1, tol=tol)
     mu, f = Measure.point_mass(op.space, 0), half_probe(psi1)
     eq1 = measure_eq1(op, psi1, psi2, mu, f, n_max, triple=triple)
@@ -194,7 +211,7 @@ def cmd_check_g(cfg, args, config_path):
     else:
         K = bundle.get("K", SubsetMask.full(op.space))
     n1 = _cfg(cfg, "n1", 1, int)
-    n_max = args.n_max if args.n_max is not None else _cfg(cfg, "n_max", 100, int)
+    n_max = _n_max(cfg, args, 100)
     report_obj = check_condition_g(op, K, psi1, psi2, n1=n1, n3_max=n_max, n4_max=n_max)
     report = {"schema": SCHEMA, "command": "check-g", "g_report": report_obj.to_dict()}
     code = 0 if report_obj.overall else 1
@@ -205,8 +222,8 @@ def cmd_reciprocal(cfg, args, config_path):
     bundle = load_operator_bundle(_resolve(cfg, "operator", config_path))
     op = bundle["operator"]
     psi = bundle.get("psi", WeightedFunction.ones(op.space))
-    tol = args.tol if args.tol is not None else _cfg(cfg, "tol", 1e-12, float)
-    n_max = args.n_max if args.n_max is not None else _cfg(cfg, "n_max", 160, int)
+    tol = _tol(cfg, args, 1e-12)
+    n_max = _n_max(cfg, args, 160)
     triple = power_iterate(op, psi, tol=tol)
     eq3 = measure_eq3(op, triple.theta0, triple.eta, triple.nu_P, psi, n_max)
     inp = ReciprocalInput(
@@ -285,7 +302,7 @@ def cmd_model_run(cfg, args, config_path):
             "use the skeleton command for diffusion models"
         )
     model = pds_from_config(cfg)
-    n_max = args.n_max if args.n_max is not None else _cfg(cfg, "n_max", 100, int)
+    n_max = _n_max(cfg, args, 100)
     eq_n_max = _cfg(cfg, "report.n_max", 40, int)
     if eq_n_max < 0:
         raise UsageError(f"report.n_max must be nonnegative, got {eq_n_max}")

@@ -341,19 +341,27 @@ def _assemble_generator(model, space, drift, kill):
     return A
 
 
-def uniformized_exponential(
-    A: np.ndarray,
-    t: float,
-    rate_dt_max: float = 16.0,
-) -> np.ndarray:
-    """exp(t A) for a generator with nonnegative off-diagonals.
+#: Largest ``Lambda dt`` summed as one Poisson series; longer intervals are
+#: halved. A dense squaring costs about five sparse Poisson terms at N = 600;
+#: on 1D and 2D stencils of N = 400 to 784, 8 and 32 were no faster than 16.
+_RATE_DT_MAX = 16.0
+
+
+def uniformized_exponential(A: np.ndarray, t: float) -> np.ndarray:
+    """exp(t A) for a generator with nonnegative off-diagonals, as a dense array.
 
     Shifts the diagonal nonpositive if needed, writes the remainder as
     ``Lambda (M - I)`` with M nonnegative and sums the truncated Poisson
-    series; when ``Lambda t`` exceeds ``rate_dt_max`` the interval is halved
-    recursively and the result squared, which preserves entrywise
-    nonnegativity exactly (unlike Pade scaling-and-squaring).
+    series. M is stored sparse, so each term ``M^k = M @ M^(k-1)`` is a
+    stencil product rather than a dense one. When ``Lambda t`` exceeds
+    ``_RATE_DT_MAX`` the interval is halved recursively and the result
+    squared densely, which preserves entrywise nonnegativity exactly (unlike
+    Pade scaling-and-squaring).
     """
+    # Imported here: at module level it adds 1-2 MB and ~15 ms to every import
+    # of rpos, and only the diffusion model needs it.
+    from scipy.sparse import csr_array
+
     if t < 0.0:
         raise ValueError("time must be nonnegative")
     n = A.shape[0]
@@ -366,14 +374,16 @@ def uniformized_exponential(
         return math.exp(shift * t) * np.eye(n)
     halvings = 0
     dt = t
-    while lam * dt > rate_dt_max:
+    while lam * dt > _RATE_DT_MAX:
         dt /= 2.0
         halvings += 1
-    M = np.eye(n) + B / lam
+    M = csr_array(np.eye(n) + B / lam)
     mu = lam * dt
     coeff = math.exp(-mu)
     acc = np.zeros((n, n))
-    for k, term in enumerate(orbit(M, np.eye(n), left=True)):
+    # The right orbit: sparse @ dense runs straight as CSR matvecs, while
+    # dense @ sparse would transpose and copy the term on every step.
+    for k, term in enumerate(orbit(M, np.eye(n))):
         if k:
             coeff *= mu / k
         acc += coeff * term

@@ -251,7 +251,7 @@ MAP_CFG = (
 )
 SKELETON_CFG = "model.kind = diffusion\nmodel.b = affine:1,-1\ngrid.L = 12\n"
 
-#: command, config text, operator JSON (or None)
+#: command with its flags, config text, operator JSON (or None)
 MALFORMED = {
     "noise-sd-zero": ("model-run", MAP_CFG + "noise.sd = 0\n", None),
     "dim-3": ("model-run", MAP_CFG + "model.dim = 3\n", None),
@@ -268,6 +268,11 @@ MALFORMED = {
     "k-index-past-end": ("check-g", "k.indices = 7\n", THREE),
     "k-index-not-a-number": ("check-g", "k.indices = a\n", THREE),
     "k-index-negative": ("check-g", "k.indices = -1\n", THREE),
+    "spectral-n-max-negative": ("spectral --n-max -2", "", THREE),
+    "reciprocal-n-max-negative": ("reciprocal --n-max -3", "", THREE),
+    "check-g-n-max-negative": ("check-g --n-max -1", "", THREE),
+    "tol-zero": ("spectral --tol 0", "", THREE),
+    "model-run-n-max-zero": ("model-run --n-max 0", MAP_CFG, None),
 }
 
 
@@ -277,7 +282,7 @@ def test_malformed_input_is_a_usage_error(tmp_path, capsys, case):
     if operator is not None:
         text = f"operator = {write_operator(tmp_path, operator).name}\n" + text
     cfg = write_config(tmp_path, text)
-    code = run([command, "--config", cfg, "--out", tmp_path / "o"])
+    code = run([*command.split(), "--config", cfg, "--out", tmp_path / "o"])
     assert code == 2
     assert capsys.readouterr().err.startswith("rpos: error: ")
 

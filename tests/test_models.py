@@ -181,6 +181,26 @@ class TestUniformization:
             assert np.max(np.abs(ours - oracle)) <= 1e-10
             assert np.all(ours >= 0.0)
 
+    @pytest.mark.parametrize(
+        "dim, grid_n, L, t",
+        [(1, 150, 12.0, 1.0), (2, 12, 3.0, 1.0)],  # lam t ~ 158 and ~ 38
+    )
+    def test_stencil_generator_matches_expm(self, dim, grid_n, L, t):
+        # The diffusion stencils: sparse Poisson terms, then dense halvings.
+        model = DiffusionModel(
+            b=vector_field("affine:1,-1", dim),
+            r=scalar_field("const:0"),
+            L=L,
+            grid_n=grid_n,
+            t0=t,
+            dim=dim,
+        )
+        A = build_diffusion_generator(model, n_substeps=1).generator
+        ours = uniformized_exponential(A, t)
+        assert type(ours) is np.ndarray
+        assert np.max(np.abs(ours - scipy.linalg.expm(t * A))) <= 1e-10
+        assert np.all(ours >= 0.0)
+
     def test_zero_time_is_identity(self, rng):
         A = -np.eye(4)
         assert np.array_equal(uniformized_exponential(A, 0.0), np.eye(4))
