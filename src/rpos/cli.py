@@ -109,12 +109,12 @@ def _cfg(cfg, key, default=None, cast=str, required=False):
         raise UsageError(f"config key '{key}' has a bad value {cfg[key]!r}") from err
 
 
-def _n_max(cfg, args, default):
-    """The horizon from --n-max, else config key n_max; at least 1."""
-    n_max = args.n_max if args.n_max is not None else _cfg(cfg, "n_max", default, int)
-    if n_max < 1:
-        raise UsageError(f"n_max must be at least 1, got {n_max}")
-    return n_max
+def _int(cfg, key, default, least, override=None):
+    """The integer ``override`` (a flag), else config ``key``; at least ``least``."""
+    value = override if override is not None else _cfg(cfg, key, default, int)
+    if value < least:
+        raise UsageError(f"{key} must be at least {least}, got {value}")
+    return value
 
 
 def _tol(cfg, args, default):
@@ -182,8 +182,10 @@ def cmd_spectral(cfg, args, config_path):
     op = bundle["operator"]
     psi1 = bundle.get("psi1", WeightedFunction.ones(op.space))
     psi2 = bundle.get("psi2", psi1)
+    if psi2.values[0] <= 0.0:
+        raise UsageError("psi2 must be positive at state 0, where the eq1 probe starts")
     tol = _tol(cfg, args, 1e-13)
-    n_max = _n_max(cfg, args, 60)
+    n_max = _int(cfg, "n_max", 60, 1, args.n_max)
     triple = power_iterate(op, psi1, tol=tol)
     mu, f = Measure.point_mass(op.space, 0), half_probe(psi1)
     eq1 = measure_eq1(op, psi1, psi2, mu, f, n_max, triple=triple)
@@ -210,8 +212,8 @@ def cmd_check_g(cfg, args, config_path):
         K = _small_set(op.space, tokens, "config key 'k.indices'")
     else:
         K = bundle.get("K", SubsetMask.full(op.space))
-    n1 = _cfg(cfg, "n1", 1, int)
-    n_max = _n_max(cfg, args, 100)
+    n1 = _int(cfg, "n1", 1, 1)
+    n_max = _int(cfg, "n_max", 100, 1, args.n_max)
     report_obj = check_condition_g(op, K, psi1, psi2, n1=n1, n3_max=n_max, n4_max=n_max)
     report = {"schema": SCHEMA, "command": "check-g", "g_report": report_obj.to_dict()}
     code = 0 if report_obj.overall else 1
@@ -223,7 +225,7 @@ def cmd_reciprocal(cfg, args, config_path):
     op = bundle["operator"]
     psi = bundle.get("psi", WeightedFunction.ones(op.space))
     tol = _tol(cfg, args, 1e-12)
-    n_max = _n_max(cfg, args, 160)
+    n_max = _int(cfg, "n_max", 160, 1, args.n_max)
     triple = power_iterate(op, psi, tol=tol)
     eq3 = measure_eq3(op, triple.theta0, triple.eta, triple.nu_P, psi, n_max)
     inp = ReciprocalInput(
@@ -302,10 +304,8 @@ def cmd_model_run(cfg, args, config_path):
             "use the skeleton command for diffusion models"
         )
     model = pds_from_config(cfg)
-    n_max = _n_max(cfg, args, 100)
-    eq_n_max = _cfg(cfg, "report.n_max", 40, int)
-    if eq_n_max < 0:
-        raise UsageError(f"report.n_max must be nonnegative, got {eq_n_max}")
+    n_max = _int(cfg, "n_max", 100, 1, args.n_max)
+    eq_n_max = _int(cfg, "report.n_max", 40, 0)
     n_traj = _cfg(cfg, "mc.n_traj", 0, int)
     if n_traj and n_traj < 100:
         raise UsageError(f"mc.n_traj must be 0 or at least 100, got {n_traj}")
@@ -363,9 +363,7 @@ def cmd_skeleton(cfg, args, config_path):
     if kind != "diffusion":
         raise UsageError(f"skeleton supports model.kind = diffusion (got {kind!r})")
     model = diffusion_from_config(cfg)
-    n_substeps = _cfg(cfg, "skeleton.substeps", 8, int)
-    if n_substeps < 1:
-        raise UsageError(f"skeleton.substeps must be at least 1, got {n_substeps}")
+    n_substeps = _int(cfg, "skeleton.substeps", 8, 1)
     family = build_diffusion_generator(model, n_substeps=n_substeps)
     sk = skeleton_analysis(family.family, model.t0, family.psi)
     gir = girsanov_check(model, family=family)

@@ -26,7 +26,20 @@ from itertools import islice
 
 import numpy as np
 
-from .core import Measure, SubsetMask, TransferOperator, WeightedFunction, apply, orbit
+from .core import (
+    Measure,
+    NonFiniteError,
+    SubsetMask,
+    TransferOperator,
+    WeightedFunction,
+    apply,
+    orbit,
+)
+
+#: Relative slack of the (G3) stabilization diagnostic.
+_STAB_RTOL = 1e-3
+#: Relative margin by which a small set's off-set contraction must clear theta2.
+_MARGIN = 0.1
 
 
 class SeriesDivergenceError(RuntimeError):
@@ -203,9 +216,12 @@ def check_g1_horizons(
     for n1 in horizons:
         block = next(islice(rows, n1 - reached - 1, None))[:, idx]
         reached = n1
-        M = block * ratio
-        nu_raw = M.min(axis=0)
-        c1 = float(nu_raw.sum())
+        with np.errstate(over="ignore"):
+            M = block * ratio
+            nu_raw = M.min(axis=0)
+            c1 = float(nu_raw.sum())
+        if not np.isfinite(c1):
+            raise NonFiniteError(f"(G1) minorization mass overflows at n1 = {n1}")
         density = np.zeros(P.space.size)
         if c1 > 0.0:
             density[idx] = nu_raw / (c1 * P.space.ref_weights[idx])
@@ -275,7 +291,6 @@ def check_g3(
     K: SubsetMask,
     psi1: WeightedFunction,
     n_max: int = 100,
-    stab_rtol: float = 1e-3,
 ) -> G3Result:
     """Worst K-oscillation of P_n psi1 / psi1 over n = 0..n_max.
 
@@ -283,7 +298,7 @@ def check_g3(
     invariant), so the horizon is not limited by the magnitude of the
     dominant eigenvalue. The check passes when every ratio is finite and the
     last-quarter maximum exceeds the earlier running maximum by at most the
-    relative slack ``stab_rtol`` (the ratios typically approach their limit
+    relative slack 1e-3 (the ratios typically approach their limit
     from below, so an exact comparison would reject any still-converging
     tail); the genuine constant is a supremum over all n, so this is a
     finite-horizon sample with a stabilization diagnostic, not a certificate
@@ -314,7 +329,7 @@ def check_g3(
     c3 = float(np.max(ratios))
     q = (3 * n_max) // 4
     stabilized = bool(
-        np.max(ratios[q:]) <= np.max(ratios[: max(q, 1)]) * (1.0 + stab_rtol)
+        np.max(ratios[q:]) <= np.max(ratios[: max(q, 1)]) * (1.0 + _STAB_RTOL)
     )
     return G3Result(
         c3=c3,
@@ -448,13 +463,12 @@ def select_small_set(
     psi1: WeightedFunction,
     theta2: float,
     levels,
-    margin: float = 0.1,
 ) -> SubsetMask:
     """Smallest sublevel set {psi1 <= level} separating the drift rates.
 
     Scans the schedule in increasing order and returns the first nonempty
-    sublevel set whose off-set contraction rate clears theta2 with the
-    requested relative margin.
+    sublevel set whose off-set contraction rate clears theta2 with a 10%
+    relative margin.
     """
     v = psi1.values
     r1 = (P.kernel @ v) / v
@@ -464,11 +478,11 @@ def select_small_set(
         if not member.any() or not outside.any():
             continue  # a small set equal to the whole space is no small set
         theta1 = float(np.max(r1[outside]))
-        if theta1 * (1.0 + margin) < theta2:
+        if theta1 * (1.0 + _MARGIN) < theta2:
             return SubsetMask(P.space, member)
     raise SmallSetSearchError(
         f"no sublevel set in the schedule achieves theta1 < theta2 = {theta2:g} "
-        f"with a {margin:.0%} margin"
+        f"with a {_MARGIN:.0%} margin"
     )
 
 

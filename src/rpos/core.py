@@ -99,12 +99,6 @@ class StateSpace:
 
     __hash__ = object.__hash__
 
-    def to_dict(self) -> dict:
-        return {
-            "points": self.points.tolist(),
-            "ref_weights": self.ref_weights.tolist(),
-        }
-
 
 def _check_same_space(a, b):
     if a.space is not b.space and a.space != b.space:
@@ -128,14 +122,6 @@ class WeightedFunction:
     @classmethod
     def ones(cls, space: StateSpace) -> "WeightedFunction":
         return cls(space, np.ones(space.size))
-
-    @classmethod
-    def indicator(cls, mask: "SubsetMask") -> "WeightedFunction":
-        return cls(mask.space, mask.member.astype(float))
-
-    @classmethod
-    def from_callable(cls, space: StateSpace, fn) -> "WeightedFunction":
-        return cls(space, np.asarray(fn(space.points), dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,13 +225,13 @@ class TransferOperator:
         if k.shape != (n, n):
             raise ValueError(f"kernel must be ({n}, {n}), got {k.shape}")
         if not np.all(np.isfinite(k)):
-            bad = np.argwhere(~np.isfinite(k))[0]
+            bad = tuple(np.argwhere(~np.isfinite(k))[0].tolist())
             raise NonFiniteError(
-                f"kernel has a non-finite entry at {tuple(bad)}", index=int(bad[0])
+                f"kernel has a non-finite entry at {bad}", index=bad[0]
             )
         if np.any(k < 0.0):
-            bad = np.argwhere(k < 0.0)[0]
-            raise ValueError(f"kernel has a negative entry at {tuple(bad)}")
+            bad = tuple(np.argwhere(k < 0.0)[0].tolist())
+            raise ValueError(f"kernel has a negative entry at {bad}")
         k.flags.writeable = False
         object.__setattr__(self, "kernel", k)
 

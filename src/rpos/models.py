@@ -206,14 +206,18 @@ def _grid_points(lo, hi, n, dim):
     return pts, float(weights)
 
 
-def build_pds_kernel(model: PdsModel, max_leak: float = 0.01) -> PdsKernel:
+#: Largest share of one row's transition mass the grid box may lose.
+_MAX_LEAK = 0.01
+
+
+def build_pds_kernel(model: PdsModel) -> PdsKernel:
     """Collocation discretization of the one-step penalized transition.
 
     Kernel entry (i, j) is ``w_j G(x_j) phi(x_j - F(x_i))`` with phi the
     Gaussian step density (midpoint quadrature over the destination cell),
     zeroed outside the killing-free region. The per-row Gaussian mass lost
     beyond the grid box is computed in closed form; the build fails when it
-    exceeds ``max_leak``.
+    exceeds 1%.
     """
     pts, cell_w = _grid_points(model.grid_lo, model.grid_hi, model.grid_n, model.dim)
     n = pts.shape[0]
@@ -240,10 +244,10 @@ def build_pds_kernel(model: PdsModel, max_leak: float = 0.01) -> PdsKernel:
         psi_tail = psi_tail + _exp_weighted_tail(m, sd, lo, hi, model.a)
     row_leak = 1.0 - inside
     worst = float(np.max(row_leak))
-    if worst > max_leak:
+    if worst > _MAX_LEAK:
         raise GridCoverageError(
             f"grid box loses {worst:.3%} of the transition mass in one step "
-            f"(limit {max_leak:.1%}); widen the grid",
+            f"(limit {_MAX_LEAK:.1%}); widen the grid",
             leak=worst,
         )
     psi1 = WeightedFunction(space, np.exp(model.a * np.linalg.norm(pts, axis=1)))
@@ -617,8 +621,12 @@ class HypothesisReport:
         }
 
 
-def check_hypotheses(model, n_shells: int = 8) -> HypothesisReport:
-    """Evaluate the growth certificates on radius shells of the grid.
+#: Number of radius shells the growth diagnostics are read on.
+_N_SHELLS = 8
+
+
+def check_hypotheses(model) -> HypothesisReport:
+    """Evaluate the growth certificates on eight radius shells of the grid.
 
     Map model: shell minima of ``|x| - p |F(x)|`` must trend upward (the
     drift escapes any penalty growth); also fits the envelope constant for
@@ -630,7 +638,7 @@ def check_hypotheses(model, n_shells: int = 8) -> HypothesisReport:
         radii_pts = np.linalg.norm(pts, axis=1)
         Fx = np.asarray(model.F(pts), dtype=float).reshape(pts.shape[0], model.dim)
         s = radii_pts - model.p * np.linalg.norm(Fx, axis=1)
-        radii, values = _shell_profile(radii_pts, s, n_shells, np.min)
+        radii, values = _shell_profile(radii_pts, s, np.min)
         diverging = _trending(values, up=True)
         g_vals = np.asarray(model.G(pts), dtype=float)
         env = float(np.max(g_vals * np.exp(-radii_pts)))
@@ -659,7 +667,7 @@ def check_hypotheses(model, n_shells: int = 8) -> HypothesisReport:
         radii_pts = np.linalg.norm(pts, axis=1)
         drift = np.asarray(model.b(pts), dtype=float).reshape(pts.shape[0], model.dim)
         s = np.asarray(model.r(pts), dtype=float) + drift.sum(axis=1)
-        radii, values = _shell_profile(radii_pts, s, n_shells, np.max)
+        radii, values = _shell_profile(radii_pts, s, np.max)
         diverging = _trending(values, up=False)
         warnings = []
         if not diverging:
@@ -675,12 +683,12 @@ def check_hypotheses(model, n_shells: int = 8) -> HypothesisReport:
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
-def _shell_profile(radii, values, n_shells, reducer):
-    edges = np.quantile(radii, np.linspace(0.0, 1.0, n_shells + 1))
+def _shell_profile(radii, values, reducer):
+    edges = np.quantile(radii, np.linspace(0.0, 1.0, _N_SHELLS + 1))
     outs_r, outs_v = [], []
-    for k in range(n_shells):
+    for k in range(_N_SHELLS):
         mask = (radii >= edges[k]) & (
-            radii <= edges[k + 1] if k == n_shells - 1 else radii < edges[k + 1]
+            radii <= edges[k + 1] if k == _N_SHELLS - 1 else radii < edges[k + 1]
         )
         if not mask.any():
             continue
@@ -732,19 +740,16 @@ def seed_drift_rate(P: TransferOperator, radius_mask: np.ndarray) -> float:
 
 def run_pds_analysis(
     model: PdsModel,
-    n1: int = 1,
     n_g: int = 100,
     eq_n_max: int = 40,
-    radii=None,
-    tol: float = 1e-13,
-    margin: float = 0.1,
 ) -> PdsAnalysis:
     """Build the kernel and run the full verification pipeline.
 
     The candidate growth rate comes from the unit-ball return mass; the
-    small set is the smallest centered ball (a sublevel set of the weight)
-    whose off-set contraction clears that rate with a 10% margin, and the
-    drift function is the self-certifying truncated return series.
+    small set is the smallest centered ball (a sublevel set of the weight,
+    radii in steps of 0.5 up to the grid box) whose off-set contraction
+    clears that rate with a 10% margin, and the drift function is the
+    self-certifying truncated return series. (G1) uses horizon n1 = 1.
     """
     build = build_pds_kernel(model)
     P, psi1 = build.operator, build.psi1
@@ -752,14 +757,12 @@ def run_pds_analysis(
     radius = np.linalg.norm(pts, axis=1)
     hyp = check_hypotheses(model)
     theta2_seed = seed_drift_rate(P, radius <= 1.0)
-    if radii is None:
-        r_max = float(np.max(np.abs(np.concatenate([model.grid_lo, model.grid_hi]))))
-        radii = np.arange(0.5, r_max + 0.25, 0.5)
-    levels = np.exp(model.a * np.asarray(radii, dtype=float))
-    K = select_small_set(P, psi1, theta2_seed, levels, margin=margin)
+    r_max = float(np.max(np.abs(np.concatenate([model.grid_lo, model.grid_hi]))))
+    levels = np.exp(model.a * np.arange(0.5, r_max + 0.25, 0.5))
+    K = select_small_set(P, psi1, theta2_seed, levels)
     psi2, n0 = build_psi2_auto(P, K, theta2_seed, psi1)
-    g_report = check_condition_g(P, K, psi1, psi2, n1=n1, n3_max=n_g, n4_max=n_g)
-    triple = power_iterate(P, psi1, tol=tol)
+    g_report = check_condition_g(P, K, psi1, psi2, n3_max=n_g, n4_max=n_g)
+    triple = power_iterate(P, psi1)
     mu = Measure.point_mass(P.space, int(np.argmin(radius)))
     f = WeightedFunction(P.space, psi1.values * (radius <= 1.0))
     eq1 = measure_eq1(P, psi1, psi2, mu, f, eq_n_max, triple=triple)

@@ -17,17 +17,14 @@ from itertools import islice
 
 import numpy as np
 
-from .condition_g import (
-    GReport,
-    check_g1,
-    check_g1_horizons,
-    check_g2,
-    check_g3,
-    check_g4,
-)
+from .condition_g import GReport, check_g1_horizons, check_g2, check_g3, check_g4
 from .core import Measure, SubsetMask, TransferOperator, WeightedFunction, orbit
-from .spectral import PowerIterationError, power_iterate
 from .transforms import HTransformRecord, h_transform
+
+#: Start of the (m, lambda, rho) back-off schedule of ``certify``.
+_M0, _LAM0, _RHO0 = 8, 0.9, 0.95
+#: Relative eigen residual above which (eta, theta0) is no eigenpair.
+_EIGEN_RTOL = 1e-8
 
 
 class ZetaConditionError(RuntimeError):
@@ -43,8 +40,8 @@ class ReciprocalInput:
     """Inputs of the reverse construction.
 
     ``zeta`` is the measured uniform profile (index n = 0, 1, ...); it is
-    expected to decay after a burn-in. ``nu_P`` may be omitted, in which
-    case the left eigenmeasure is recomputed by power iteration.
+    expected to decay after a burn-in. ``nu_P`` is the left eigenmeasure
+    that belongs to (eta, theta0).
     """
 
     P: TransferOperator
@@ -52,7 +49,7 @@ class ReciprocalInput:
     eta: WeightedFunction
     theta0: float
     zeta: np.ndarray
-    nu_P: Measure | None = None
+    nu_P: Measure
 
     def __post_init__(self):
         if np.any(self.psi.values <= 0.0):
@@ -115,20 +112,17 @@ def find_drift(
     rho: float,
     level: WeightedFunction,
     nu_R: Measure,
-    n_max: int | None = None,
 ) -> DriftResult:
     """Smallest sublevel set of ``level`` outside which R contracts V0.
 
     Scans the grid values d of ``level`` in increasing order; a level is
     admissible when ``R V0 <= rho V0`` holds at every point above it and
-    the resulting set K is reachable from ``nu_R`` within ``n_max`` steps
-    (the accessibility horizon, defaulting to the space size). Returns the
-    surplus constant ``C_R = max_K (R V0 - rho V0)_+`` for the chosen set.
+    the resulting set K is reachable from ``nu_R`` within as many steps as
+    the space has points. Returns the surplus constant
+    ``C_R = max_K (R V0 - rho V0)_+`` for the chosen set.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
-    if n_max is None:
-        n_max = R.space.size
     Rv = R.kernel @ v0.values
     ok = Rv <= rho * v0.values
     candidates = np.unique(level.values)
@@ -138,7 +132,7 @@ def find_drift(
             continue
         if not ok[~member].all():
             continue
-        reach = _first_reach(nu_R, R, member, n_max)
+        reach = _first_reach(nu_R, R, member)
         if reach is None:
             continue
         n2, reach_masses = reach
@@ -157,14 +151,14 @@ def find_drift(
         )
     raise DriftSearchError(
         "no sublevel set is reachable from nu_R within "
-        f"{n_max} steps (drift holds above {candidates[-1]:g} at best)"
+        f"{R.space.size} steps (drift holds above {candidates[-1]:g} at best)"
     )
 
 
-def _first_reach(nu_R, R, member, n_max):
-    """(n, masses of nu_R R_n) for the first n <= n_max charging the set."""
+def _first_reach(nu_R, R, member):
+    """(n, masses of nu_R R_n) for the first n <= space size charging the set."""
     steps = orbit(R.kernel, nu_R.masses, left=True)
-    for n, m in enumerate(islice(steps, int(n_max) + 1)):
+    for n, m in enumerate(islice(steps, R.space.size + 1)):
         if float(m[member].sum()) > 0.0:
             return n, m
     return None
@@ -206,21 +200,21 @@ class ReciprocalCertificate:
 
     passed: bool
     stage: str
-    m: int
-    lam: float
-    rho: float
-    d: float
-    V0: WeightedFunction | None
-    psi1: WeightedFunction | None
-    K: SubsetMask | None
-    nu: Measure | None
-    c2: float
-    C_R: float
-    n2: int
     eigen_residual: float
-    support: SubsetMask | None
-    g_report: GReport | None
-    zeta: np.ndarray | None
+    zeta: np.ndarray
+    m: int = 0
+    lam: float = float("nan")
+    rho: float = float("nan")
+    d: float = float("nan")
+    V0: WeightedFunction | None = None
+    psi1: WeightedFunction | None = None
+    K: SubsetMask | None = None
+    nu: Measure | None = None
+    c2: float = float("nan")
+    C_R: float = float("nan")
+    n2: int = -1
+    support: SubsetMask | None = None
+    g_report: GReport | None = None
     diagnostics: str = ""
 
     def to_dict(self) -> dict:
@@ -241,112 +235,71 @@ class ReciprocalCertificate:
             "nu": None if self.nu is None else self.nu.density.tolist(),
             "support": None if self.support is None else self.support.indices.tolist(),
             "g_report": None if self.g_report is None else self.g_report.to_dict(),
-            "zeta": None if self.zeta is None else self.zeta.tolist(),
+            "zeta": self.zeta.tolist(),
             "diagnostics": self.diagnostics,
         }
 
 
-def _failed(stage, inp, eigen_residual, diagnostics="", **kw):
-    return ReciprocalCertificate(
-        passed=False,
-        stage=stage,
-        m=kw.get("m", 0),
-        lam=kw.get("lam", float("nan")),
-        rho=kw.get("rho", float("nan")),
-        d=kw.get("d", float("nan")),
-        V0=kw.get("V0"),
-        psi1=kw.get("psi1"),
-        K=kw.get("K"),
-        nu=kw.get("nu"),
-        c2=kw.get("c2", float("nan")),
-        C_R=kw.get("C_R", float("nan")),
-        n2=kw.get("n2", -1),
-        eigen_residual=eigen_residual,
-        support=kw.get("support"),
-        g_report=kw.get("g_report"),
-        zeta=inp.zeta,
-        diagnostics=diagnostics,
-    )
+def _failed(stage, inp, eigen_residual, **kw):
+    return ReciprocalCertificate(False, stage, eigen_residual, inp.zeta, **kw)
+
+
+def _schedule(m_max):
+    """(m, lambda, rho) up to ``m_max``: m doubles, lambda and rho move halfway to 1."""
+    m, lam, rho = _M0, _LAM0, _RHO0
+    while m <= m_max:
+        yield m, lam, rho
+        m, lam, rho = 2 * m, (1 + lam) / 2, (1 + rho) / 2
 
 
 def certify(
     inp: ReciprocalInput,
-    m: int = 8,
-    lam: float = 0.9,
-    rho: float = 0.95,
     m_max: int = 128,
-    eigen_rtol: float = 1e-8,
-    n1: int | None = None,
     n_g3: int = 100,
     n_g4: int = 100,
-    tol: float = 1e-12,
 ) -> ReciprocalCertificate:
     """Run the full reverse pipeline and verify the resulting package.
 
     Stages: validate that (eta, theta0) really is an eigenpair at relative
-    residual ``eigen_rtol`` (a fabricated eigenfunction must never produce a
-    passing certificate), recover nu_P if absent, conjugate to the
-    stochastic operator on the support, build V0, locate the small set and
-    the surplus constant, extend psi1 to the full space, assemble the
-    minorizing measure, and check (G1)-(G4) with psi2 = eta. On failure the
-    parameters back off geometrically (m doubles; lambda and rho move
-    halfway to 1) until ``m_max`` is exhausted.
-
-    ``n1`` fixes the minorization horizon; when omitted it is searched in
-    doubling steps until the certificate mass is positive (banded kernels
-    need roughly the diameter of K).
+    residual 1e-8 (a fabricated eigenfunction must never produce a passing
+    certificate), conjugate to the stochastic operator on the support, build
+    V0, locate the small set and the surplus constant, extend psi1 to the
+    full space, assemble the minorizing measure, and check (G1)-(G4) with
+    psi2 = eta. The parameters start at m = 8, lambda = 0.9, rho = 0.95; on
+    failure they back off geometrically (m doubles; lambda and rho move
+    halfway to 1) until ``m_max`` is exhausted. The minorization horizon is
+    searched in doubling steps until the certificate mass is positive
+    (banded kernels need roughly the diameter of K).
     """
     P, psi, eta, theta0 = inp.P, inp.psi, inp.eta, inp.theta0
     resid = (
         float(np.max(np.abs(P.kernel @ eta.values - theta0 * eta.values) / psi.values))
         / theta0
     )
-    if resid > eigen_rtol:
+    if resid > _EIGEN_RTOL:
         return _failed(
             "eigenfunction",
             inp,
             resid,
-            diagnostics=f"eigen residual {resid:.3e} exceeds {eigen_rtol:g}",
+            diagnostics=f"eigen residual {resid:.3e} exceeds {_EIGEN_RTOL:g}",
         )
-
-    if inp.nu_P is not None:
-        nu_P = inp.nu_P
-    else:
-        try:
-            triple = power_iterate(P, psi, tol=tol)
-        except PowerIterationError as err:
-            return _failed("spectral", inp, resid, diagnostics=str(err))
-        if abs(triple.theta0 - theta0) > 1e-6 * theta0:
-            return _failed(
-                "spectral",
-                inp,
-                resid,
-                diagnostics=(
-                    f"dominant eigenvalue {triple.theta0:.12g} disagrees with "
-                    f"the supplied theta0 = {theta0:.12g}"
-                ),
-            )
-        nu_P = triple.nu_P
 
     H = h_transform(P, eta, theta0, psi1=psi)
     idx = H.support.indices
     sub_space = H.transformed.space
     u = WeightedFunction(sub_space, psi.values[idx] / eta.values[idx])
-    nu_R = Measure(sub_space, eta.values[idx] * nu_P.density[idx])
+    nu_R = Measure(sub_space, eta.values[idx] * inp.nu_P.density[idx])
     if nu_R.total_mass() <= 0.0:
         return _failed(
             "spectral", inp, resid, diagnostics="nu_P gives no mass to the support"
         )
 
-    attempted = False
     last = None
-    while m <= m_max:
+    for m, lam, rho in _schedule(m_max):
         if m >= inp.zeta.size or (
             inp.zeta[m] > 0.0 and inp.zeta[m] ** (1.0 / m) > lam
         ):
-            m, lam, rho = 2 * m, (1 + lam) / 2, (1 + rho) / 2
             continue
-        attempted = True
         V0 = build_v0(inp, m, lam, h_record=H)
         try:
             drift = find_drift(V0, H.transformed, rho, u, nu_R)
@@ -354,21 +307,21 @@ def certify(
             last = _failed(
                 "find_drift", inp, resid, diagnostics=str(err), m=m, lam=lam, rho=rho
             )
-            m, lam, rho = 2 * m, (1 + lam) / 2, (1 + rho) / 2
             continue
         psi1 = extend_psi1(inp, m, lam)
         K_full = SubsetMask.from_indices(P.space, idx[drift.K.member])
         nu = _minorizing_measure(P, H, u.values, drift)
-        g1 = _search_g1(P, K_full, psi1, n1)
         g_report = GReport(
-            g1=g1,
+            g1=_search_g1(P, K_full, psi1),
             g2=check_g2(P, K_full, psi1, eta),
             g3=check_g3(P, K_full, psi1, n_g3),
             g4=check_g4(P, K_full, psi1, n_g4),
         )
-        cert = ReciprocalCertificate(
+        last = ReciprocalCertificate(
             passed=g_report.overall,
             stage="ok" if g_report.overall else "condition-g",
+            eigen_residual=resid,
+            zeta=inp.zeta,
             m=m,
             lam=lam,
             rho=rho,
@@ -380,17 +333,13 @@ def certify(
             c2=g_report.g2.c2,
             C_R=drift.C_R,
             n2=drift.n2,
-            eigen_residual=resid,
             support=H.support,
             g_report=g_report,
-            zeta=inp.zeta,
             diagnostics=drift.diagnostics,
         )
-        if cert.passed:
-            return cert
-        last = cert
-        m, lam, rho = 2 * m, (1 + lam) / 2, (1 + rho) / 2
-    if not attempted:
+        if last.passed:
+            return last
+    if last is None:
         raise ZetaConditionError(
             f"zeta_m^(1/m) <= lambda unattainable for any m <= {m_max} "
             f"(profile length {inp.zeta.size})"
@@ -398,9 +347,7 @@ def certify(
     return last
 
 
-def _search_g1(P, K_full, psi1, n1):
-    if n1 is not None:
-        return check_g1(P, K_full, psi1, n1)
+def _search_g1(P, K_full, psi1):
     doublings = [2**k for k in range((2 * P.space.size).bit_length())]
     for g1 in check_g1_horizons(P, K_full, psi1, doublings):
         if g1.passed:

@@ -99,29 +99,33 @@ def power_iterate(
     m = m / (m @ psi)  # mu(psi1) = 1
     history = []
     theta = 0.0
-    for it in range(1, max_iter + 1):
-        Pf = K @ f
-        mP = m @ K
-        denom = m @ f
-        theta = float((m @ Pf) / denom)
-        if not np.isfinite(theta) or theta <= 0.0:
+    # Overflow surfaces as theta = inf (or as a nan iterate, read as theta 0.0)
+    # and raises below, so numpy's own warnings would add nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            Pf = K @ f
+            mP = m @ K
+            num, denom = m @ Pf, m @ f
+            theta = float(num / denom) if num > 0.0 and denom > 0.0 else 0.0
+            if not np.isfinite(theta) or theta <= 0.0:
+                raise PowerIterationError(
+                    "operator drives the iterate to zero or out of the float "
+                    f"range (theta estimate {theta})",
+                    np.asarray(history),
+                )
+            res_right = np.max(np.abs(Pf - theta * f) / psi) / theta
+            res_left = np.sum(np.abs(mP - theta * m)) / (theta * (m @ psi))
+            history.append(max(res_right, res_left))
+            if history[-1] <= tol:
+                break
+            f = Pf / np.max(Pf / psi)
+            m = mP / (mP @ psi)
+        else:
             raise PowerIterationError(
-                f"operator drives the iterate to zero (theta estimate {theta})",
+                f"no convergence after {max_iter} iterations "
+                f"(last residual {history[-1]:.3e})",
                 np.asarray(history),
             )
-        res_right = np.max(np.abs(Pf - theta * f) / psi) / theta
-        res_left = np.sum(np.abs(mP - theta * m)) / (theta * (m @ psi))
-        history.append(max(res_right, res_left))
-        if history[-1] <= tol:
-            break
-        f = Pf / np.max(Pf / psi)
-        m = mP / (mP @ psi)
-    else:
-        raise PowerIterationError(
-            f"no convergence after {max_iter} iterations "
-            f"(last residual {history[-1]:.3e})",
-            np.asarray(history),
-        )
     nu = Measure(P.space, m / w)  # already nu(psi1) = 1
     eta = WeightedFunction(P.space, f / (m @ f))  # nu(eta) = 1
     right_res = float(np.max(np.abs(K @ eta.values - theta * eta.values) / psi))

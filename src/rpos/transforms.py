@@ -131,7 +131,13 @@ def h_transform(
     idx = support.indices
     sub_space = restrict_space(P.space, member)
     e = eta.values[idx]
-    kernel = P.kernel[np.ix_(idx, idx)] * (e[None, :] / (theta0 * e[:, None]))
+    # theta0 = mant * 2**exp with mant in [0.5, 1). Dividing by mant and then
+    # scaling by 2**-exp gives the bits of dividing by theta0, but for a tiny
+    # theta0 no theta0 * e underflows and no e_j / (theta0 e_i) overflows
+    # against a zero entry of P.
+    mant, exp = np.frexp(theta0)
+    ratio = e[None, :] / (mant * e[:, None])
+    kernel = np.ldexp(P.kernel[np.ix_(idx, idx)] * ratio, -exp)
     transformed = TransferOperator(sub_space, kernel, step_label=P.step_label)
     row_masses = kernel.sum(axis=1)
     return HTransformRecord(

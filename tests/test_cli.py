@@ -2,6 +2,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -264,6 +265,9 @@ MALFORMED = {
     "zero-psi": ("reciprocal", "", dict(THREE, psi=[1.0, 0.0, 1.0])),
     "negative-psi1": ("spectral", "", dict(THREE, psi1=[1.0, -1.0, 1.0])),
     "negative-psi2": ("check-g", "", dict(THREE, psi2=[1.0, -1.0, 1.0])),
+    "psi2-zero-at-probe-start": ("spectral", "", dict(THREE, psi2=[0.0, 1.0, 1.0])),
+    "n1-zero": ("check-g", "n1 = 0\n", THREE),
+    "n1-negative": ("check-g", "n1 = -1\n", THREE),
     "k-indices-empty": ("check-g", "k.indices =\n", THREE),
     "k-index-past-end": ("check-g", "k.indices = 7\n", THREE),
     "k-index-not-a-number": ("check-g", "k.indices = a\n", THREE),
@@ -364,3 +368,59 @@ def test_small_configs_exit_with_a_code(drawn):
         cfg = write_config(Path(tmp), text)
         code = run([command, "--config", cfg, "--out", Path(tmp) / "o", "--quiet"])
     assert code in (0, 1, 2)
+
+
+@st.composite
+def _operator_bundles(draw):
+    """Operator JSON on 1-5 states with an optional n1 config line.
+
+    Kernels are dense, triangular (reducible) or cyclic (periodic), may
+    carry a zero row and a zero column, and are scaled by up to 1e+-300;
+    psi, psi1 and psi2 are each present or not.
+    """
+    n = draw(st.integers(1, 5))
+    entries = st.sampled_from([0.0, 0.1, 0.5, 1.0, 3.0])
+    kernel = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n)))
+    kernel = kernel.reshape(n, n)
+    shape = draw(st.sampled_from(["dense", "triangular", "cyclic"]))
+    if shape == "triangular":
+        kernel = np.triu(kernel)
+    elif shape == "cyclic":
+        kernel = np.roll(np.eye(n), 1, axis=1) * draw(st.sampled_from([0.5, 1.0, 2.0]))
+    zero = st.none() | st.integers(0, n - 1)
+    zero_row, zero_col = draw(zero), draw(zero)
+    if zero_row is not None:
+        kernel[zero_row, :] = 0.0
+    if zero_col is not None:
+        kernel[:, zero_col] = 0.0
+    kernel *= 10.0 ** draw(st.sampled_from([-300, -150, -20, 0, 20, 150, 300]))
+    data = {
+        "points": [[float(i)] for i in range(n)],
+        "ref_weights": [1.0] * n,
+        "kernel": kernel.tolist(),
+        "step_label": 1,
+    }
+    weights = {"psi": [0.5, 1.0, 4.0, 1e10], "psi1": [0.5, 1.0, 4.0, 1e10],
+               "psi2": [0.0, 0.5, 1.0, 1e10]}
+    for name, values in weights.items():
+        vec = st.lists(st.sampled_from(values), min_size=n, max_size=n)
+        vec = draw(st.none() | vec)
+        if vec is not None:
+            data[name] = vec
+    n1 = draw(st.none() | st.integers(-1, 3))
+    return data, "" if n1 is None else f"n1 = {n1}\n"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_operator_bundles())
+def test_operator_commands_exit_with_a_code(drawn):
+    # spectral, check-g and reciprocal end in exit code 0, 1 or 2 on any
+    # operator JSON, never in a traceback or a RuntimeWarning.
+    data, text = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        op = write_operator(Path(tmp), data)
+        cfg = write_config(Path(tmp), f"operator = {op.name}\n" + text)
+        for command in ("spectral", "check-g", "reciprocal"):
+            out = Path(tmp) / command
+            code = run([command, "--config", cfg, "--out", out, "--quiet"])
+            assert code in (0, 1, 2)

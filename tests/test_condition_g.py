@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rpos import (
+    NonFiniteError,
     SeriesDivergenceError,
     SmallSetSearchError,
     SubsetMask,
@@ -30,6 +31,11 @@ def ones(P):
 
 
 class TestG1:
+    def test_overflowing_mass_is_non_finite(self):
+        P = make_operator(np.full((2, 2), 1e308))  # c1 = 2e308
+        with pytest.raises(NonFiniteError, match="n1 = 1"):
+            check_g1(P, full_mask(P), ones(P), 1)
+
     def test_hand_example(self):
         P = make_operator([[0.6, 0.4], [0.3, 0.7]])
         res = check_g1(P, full_mask(P), ones(P), 1)

@@ -260,6 +260,12 @@ class TestSerialization:
         assert back.space == two_state["P"].space
         assert back.step_label == two_state["P"].step_label
 
+    def test_bad_entries_named_by_plain_indices(self):
+        with pytest.raises(NonFiniteError, match=r"entry at \(1, 0\)$"):
+            make_operator([[1.0, 1.0], [np.inf, 1.0]])
+        with pytest.raises(ValueError, match=r"entry at \(0, 1\)$"):
+            make_operator([[1.0, -1.0], [1.0, 1.0]])
+
     def test_missing_field_named(self):
         with pytest.raises(KeyError, match="kernel"):
             TransferOperator.from_dict({"points": [[0.0]], "ref_weights": [1.0]})

@@ -19,6 +19,18 @@ from rpos import (
 from conftest import make_operator, random_kernel
 
 
+def killed_walk(n):
+    """Walk on n sites: stay 0.35, step 0.3 each way, killed off both ends."""
+    k = np.zeros((n, n))
+    for i in range(n):
+        if i > 0:
+            k[i, i - 1] = 0.3
+        k[i, i] = 0.35
+        if i < n - 1:
+            k[i, i + 1] = 0.3
+    return make_operator(k)
+
+
 def reciprocal_input(P, psi=None, n_zeta=60, tol=1e-13):
     psi = psi or WeightedFunction.ones(P.space)
     t = power_iterate(P, psi, tol=tol)
@@ -83,15 +95,7 @@ class TestFindDrift:
         assert res.K.count == 2
 
     def test_matches_brute_force_on_birth_death(self, rng):
-        n = 50
-        k = np.zeros((n, n))
-        for i in range(n):
-            if i > 0:
-                k[i, i - 1] = 0.3
-            k[i, i] = 0.35
-            if i < n - 1:
-                k[i, i + 1] = 0.3
-        P = make_operator(k)
+        P = killed_walk(50)
         inp, t = reciprocal_input(P, n_zeta=3)
         H = h_transform(P, t.eta, t.theta0, psi1=inp.psi)
         sub = H.transformed.space
@@ -198,20 +202,20 @@ class TestCertify:
         assert res.c3 <= 1.0 + 1e-9
 
     def test_killed_random_walk_certifies(self):
-        n = 50
-        k = np.zeros((n, n))
-        for i in range(n):
-            if i > 0:
-                k[i, i - 1] = 0.3
-            k[i, i] = 0.35
-            if i < n - 1:
-                k[i, i + 1] = 0.3
-        P = make_operator(k)
-        inp, t = reciprocal_input(P, n_zeta=700)
+        inp, t = reciprocal_input(killed_walk(50), n_zeta=700)
         cert = certify(inp, m_max=1024, n_g3=2000, n_g4=200)
         assert cert.passed
         assert cert.g_report.g2.theta1 < cert.g_report.g2.theta2
         assert cert.m > 8  # back-off was exercised
+
+    def test_back_off_through_failing_certificates(self):
+        # at the default (G3) horizon every attempted certificate fails, so the
+        # schedule runs to m_max and returns the last one
+        inp, _ = reciprocal_input(killed_walk(50), n_zeta=700)
+        cert = certify(inp, m_max=1024)
+        assert not cert.passed and cert.stage == "condition-g"
+        assert cert.m == 512
+        assert cert.lam == pytest.approx(1 - 0.1 / 2**6)
 
     def test_fabricated_eigenfunction_never_passes(self, rng, two_state):
         inp, t = reciprocal_input(two_state["P"])
@@ -240,6 +244,7 @@ class TestCertify:
             eta=t.eta,
             theta0=0.9,
             zeta=inp.zeta,
+            nu_P=t.nu_P,
         )
         cert = certify(bad)
         assert not cert.passed and cert.stage == "eigenfunction"

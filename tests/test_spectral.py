@@ -74,6 +74,17 @@ class TestPowerIterate:
         with pytest.raises(PowerIterationError):
             power_iterate(P, WeightedFunction.ones(P.space))
 
+    def test_nilpotent_operator_fails_without_dividing_zero_by_zero(self):
+        # the second sweep has m @ Pf = m @ f = 0; tier-1 turns 0/0 warnings into errors
+        P = make_operator([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(PowerIterationError, match="theta estimate 0.0"):
+            power_iterate(P, WeightedFunction.ones(P.space))
+
+    def test_overflowing_sweep_fails(self):
+        P = make_operator(np.full((2, 2), 1e300))
+        with pytest.raises(PowerIterationError, match="theta estimate inf"):
+            power_iterate(P, WeightedFunction(P.space, [1.0, 1e10]))
+
     def test_psi_rescale_invariance(self, rng):
         P = make_operator(random_kernel(rng, 7))
         psi = WeightedFunction(P.space, rng.uniform(0.5, 2.0, 7))

@@ -91,6 +91,13 @@ class TestHTransform:
         assert rec.transformed.kernel.shape == (1, 1)
         assert np.allclose(rec.transformed.kernel, [[1.0]], atol=0)
 
+    def test_tiny_eigenvalue_does_not_overflow(self):
+        # theta0 * eta(0) = 1e-311 is subnormal; 1 / that overflows
+        P = make_operator(np.diag([1e-300, 1e-300]))
+        eta = WeightedFunction(P.space, [1e-11, 1.0])
+        rec = h_transform(P, eta, 1e-300)
+        assert np.allclose(rec.transformed.kernel, np.eye(2), rtol=0, atol=1e-15)
+
     def test_n_step_identity(self, rng):
         P = make_operator(random_kernel(rng, 6))
         theta, eta_vals, _, _ = perron_oracle(P.kernel)
