@@ -1,8 +1,11 @@
 """Spectral triple computation and measurement of geometric convergence.
 
-``power_iterate`` runs simultaneous right/left power iterations to produce
-the dominant eigenvalue theta0, the nonnegative right eigenfunction eta and
-the left eigenmeasure nu_P, normalized so that nu_P(psi1) = nu_P(eta) = 1.
+``power_iterate`` runs simultaneous right/left power sweeps, with Noda
+steps where the measured contraction of the sweeps says they would stall,
+to produce the dominant eigenvalue theta0, the nonnegative right
+eigenfunction eta and the left eigenmeasure nu_P, normalized so that
+nu_P(psi1) = nu_P(eta) = 1. Periodic and defective dominant spectra are
+read off the support graph and the pair, not off non-convergence.
 The ``measure_eq*`` routines evaluate, step by step, the left-hand sides of
 the three geometric convergence inequalities the triple is supposed to
 satisfy, and fit a geometric envelope to the measured profile.
@@ -12,6 +15,7 @@ family of skeleton operators on a time grid.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 
@@ -71,21 +75,45 @@ def power_iterate(
     tol: float = 1e-13,
     max_iter: int = 20000,
 ) -> SpectralTriple:
-    """Simultaneous right/left power iteration for the dominant eigenpair.
+    """Right/left power sweeps with Noda steps for the dominant eigenpair.
 
-    The right iteration starts from psi1 itself (so the iterates are exactly
-    the normalized n-step images of psi1), the left iteration from the
-    uniform density. Each sweep renormalizes both iterates, which keeps all
-    magnitudes O(1) regardless of theta0; theta0 is the two-sided Rayleigh
-    quotient of the current pair. Stops when both residuals fall below
-    ``tol`` relative to theta0.
+    The right iteration starts from psi1 itself, the left iteration from the
+    uniform density. Each iteration applies K to both iterates, takes
+    theta0 as the two-sided Rayleigh quotient of the pair and stops once
+    both residuals fall below ``tol`` relative to theta0. Otherwise it
+    steps, renormalizing both iterates so that magnitudes stay O(1) for any
+    theta0:
+
+    * a power sweep replaces the pair by its images;
+    * a Noda step (Noda 1971; quadratic convergence, Elsner 1976) solves
+      ``(sigma I - K) y = f`` and ``(sigma I - K)^T z = m`` with sigma the
+      larger of the right and left Collatz-Wielandt bounds
+      ``max_i (K f)_i / f_i`` and ``max_j (m K)_j / m_j``. As sigma is at
+      least theta0, both solutions are positive.
+
+    An iteration takes the Noda step when the last residual ratio q says
+    the sweeps still need ``log(tol / r) / log q`` more steps, and that is
+    more than a Noda step costs in sweeps: N / 3, two N^3 / 3-flop LU
+    factorizations against two 2 N^2-flop matvecs. The ratio needs four
+    residuals and the Collatz-Wielandt bounds a strictly positive pair; a
+    Noda step whose solve is singular or not positive is a sweep instead.
+    A Noda step that does not lower the residual ends Noda steps for the
+    rest of the loop: at the residual's round-off floor, or on a strongly
+    non-normal kernel, the sweeps finish (or fail) at their own cost.
+    ``iterations`` counts sweeps plus Noda steps, ``max_iter`` bounds both.
+
+    Noda steps converge on periodic and on defective kernels too, so the
+    verdict on those is read off the pair: after the loop, the period of
+    the support graph on {eta > 0} and {nu_P > 0} must be 1, and the
+    pairing nu_P(eta) of the unnormalized pair must have settled above
+    round-off rather than fallen with the residual.
 
     Raises
     ------
     PowerIterationError
-        On a zero operator, or when ``max_iter`` sweeps do not reach the
-        tolerance (periodic or defective dominant spectrum); the error
-        carries the residual history.
+        On a zero operator, a period above 1 (named in the message), a
+        defective dominant eigenvalue, or when ``max_iter`` iterations do
+        not reach the tolerance; the error carries the residual history.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
@@ -93,12 +121,14 @@ def power_iterate(
         raise ValueError("psi1 must be strictly positive")
     K = P.kernel
     w = P.space.ref_weights
+    n = P.space.size
     psi = psi1.values
     f = psi.copy()  # ||f||_psi1 = 1
-    m = np.ones(P.space.size) * w  # mass vector of the uniform density
+    m = np.ones(n) * w  # mass vector of the uniform density
     m = m / (m @ psi)  # mu(psi1) = 1
-    history = []
+    history, pairing = [], []  # residual and m @ f of each pair
     theta = 0.0
+    noda_ok, noda = True, False  # Noda steps allowed; the last step was one
     # Overflow surfaces as theta = inf (or as a nan iterate, read as theta 0.0)
     # and raises below, so numpy's own warnings would add nothing.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -116,18 +146,45 @@ def power_iterate(
             res_right = np.max(np.abs(Pf - theta * f) / psi) / theta
             res_left = np.sum(np.abs(mP - theta * m)) / (theta * (m @ psi))
             history.append(max(res_right, res_left))
+            pairing.append(denom)
             if history[-1] <= tol:
                 break
-            f = Pf / np.max(Pf / psi)
-            m = mP / (mP @ psi)
-        else:
-            raise PowerIterationError(
-                f"no convergence after {max_iter} iterations "
-                f"(last residual {history[-1]:.3e})",
-                np.asarray(history),
-            )
+            # A Noda step that does not lower the residual (the round-off
+            # floor, or a non-normal kernel) ends Noda steps: sweeps finish.
+            noda_ok = noda_ok and not (noda and history[-1] >= history[-2])
+            stall = noda_ok and _sweeps_stall(history, tol, n)
+            step = _noda_step(K, f, m, Pf, mP) if stall else None
+            noda = step is not None
+            f, m = step if noda else (Pf, mP)
+            f = f / np.max(f / psi)
+            m = m / (m @ psi)
+    _check_aperiodic(K, f, m, history)
+    if history[-1] > tol:
+        raise PowerIterationError(
+            f"no convergence after {it} iterations (last residual "
+            f"{history[-1]:.3e}, tolerance {tol:.1e})",
+            np.asarray(history),
+        )
+    # Left and right eigenvectors of a defective eigenvalue are orthogonal:
+    # the pairing of an approximate pair falls in proportion to its residual,
+    # where that of a semisimple eigenvalue settles at a positive value. So
+    # compare the last pair with the latest one whose residual stood 16 times
+    # higher, reading a residual below machine epsilon as epsilon (round-off):
+    # a fall of the pairing by the square root of the residual's fall, or
+    # more, means it tracks the residual.
+    res = max(history[-1], np.finfo(float).eps)
+    back = [i for i, h in enumerate(history) if h >= 16.0 * res]
+    falls = bool(back) and (
+        pairing[-1] / pairing[back[-1]] <= np.sqrt(res / history[back[-1]])
+    )
+    if falls or not pairing[-1] > ROUNDOFF_REL:
+        raise PowerIterationError(
+            f"dominant eigenvalue is defective: nu_P(eta) = {pairing[-1]:.3e} "
+            f"before normalization, at residual {history[-1]:.3e}",
+            np.asarray(history),
+        )
     nu = Measure(P.space, m / w)  # already nu(psi1) = 1
-    eta = WeightedFunction(P.space, f / (m @ f))  # nu(eta) = 1
+    eta = WeightedFunction(P.space, f / pairing[-1])  # nu(eta) = 1
     right_res = float(np.max(np.abs(K @ eta.values - theta * eta.values) / psi))
     left_res = float(np.sum(np.abs(m @ K - theta * m)))
     return SpectralTriple(
@@ -138,6 +195,77 @@ def power_iterate(
         left_residual=left_res,
         iterations=it,
     )
+
+
+def _sweeps_stall(history, tol, n) -> bool:
+    """True when the sweeps, at the last residual ratio, need over n / 3 more."""
+    if len(history) < 4:
+        return False
+    r, q = history[-1], history[-1] / history[-2]
+    return q >= 1.0 or np.log(tol / r) / np.log(q) > n / 3
+
+
+def _noda_step(K, f, m, Kf, mK):
+    """Solutions y, z of the Noda step at the Collatz-Wielandt shift, or None.
+
+    None when f or m is not strictly positive (no Collatz-Wielandt bound),
+    when the shift is an eigenvalue (a singular solve) or when round-off
+    leaves a solution that is not finite and positive.
+    """
+    if not (np.all(f > 0.0) and np.all(m > 0.0)):
+        return None
+    sigma = max(np.max(Kf / f), np.max(mK / m))
+    A = -K
+    A.flat[:: K.shape[0] + 1] += sigma
+    try:
+        y, z = np.linalg.solve(A, f), np.linalg.solve(A.T, m)
+    except np.linalg.LinAlgError:
+        return None
+    if not all(np.all(v > 0.0) and np.all(np.isfinite(v)) for v in (y, z)):
+        return None
+    return y, z
+
+
+def _check_aperiodic(K, f, m, history):
+    """Raise unless the support graph on {f > 0} and {m > 0} has period 1."""
+    prod = f * m
+    period = _period(K, prod > 0.0, int(np.argmax(prod)))
+    if period > 1:
+        raise PowerIterationError(
+            f"dominant class has period {period}: the dominant eigenvalue "
+            "shares its modulus with other eigenvalues",
+            np.asarray(history),
+        )
+
+
+def _period(K, member, root) -> int:
+    """Period of the class of ``root`` in the graph of K on ``member``.
+
+    The class is the states of ``member`` that root reaches and that reach
+    root. The period is the gcd of level[u] + 1 - level[v] over the edges
+    u -> v inside the class, with BFS levels from root (Denardo 1977); the
+    search stops once the gcd is 1. K is read a row or a column at a time.
+    """
+    reaches_root = np.zeros(K.shape[0], dtype=bool)
+    reaches_root[root] = True
+    todo = np.flatnonzero(member & ~reaches_root)
+    stack = [root]
+    while stack and todo.size:
+        hit = K[todo, stack.pop()] > 0.0
+        reaches_root[todo[hit]] = True
+        stack.extend(todo[hit].tolist())
+        todo = todo[~hit]
+    level = np.full(K.shape[0], -1)
+    level[root] = 0
+    queue, period = deque([root]), 0
+    while queue and period != 1:
+        u = queue.popleft()
+        v = np.flatnonzero((K[u] > 0.0) & reaches_root)
+        fresh = v[level[v] < 0]
+        level[fresh] = level[u] + 1
+        queue.extend(fresh.tolist())
+        period = int(np.gcd.reduce(np.abs(level[u] + 1 - level[v]), initial=period))
+    return period
 
 
 @dataclass(frozen=True, eq=False)

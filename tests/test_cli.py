@@ -374,19 +374,25 @@ def test_small_configs_exit_with_a_code(drawn):
 def _operator_bundles(draw):
     """Operator JSON on 1-5 states with an optional n1 config line.
 
-    Kernels are dense, triangular (reducible) or cyclic (periodic), may
-    carry a zero row and a zero column, and are scaled by up to 1e+-300;
-    psi, psi1 and psi2 are each present or not.
+    Kernels are dense, triangular (reducible), cyclic (periodic), a lazy
+    walk (slow gap: power_iterate takes Noda steps) or a Jordan block
+    (defective), may carry a zero row and a zero column, and are scaled by
+    up to 1e+-300; psi, psi1 and psi2 are each present or not.
     """
     n = draw(st.integers(1, 5))
     entries = st.sampled_from([0.0, 0.1, 0.5, 1.0, 3.0])
     kernel = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n)))
     kernel = kernel.reshape(n, n)
-    shape = draw(st.sampled_from(["dense", "triangular", "cyclic"]))
+    shapes = ["dense", "triangular", "cyclic", "lazy-walk", "jordan"]
+    shape = draw(st.sampled_from(shapes))
     if shape == "triangular":
         kernel = np.triu(kernel)
     elif shape == "cyclic":
         kernel = np.roll(np.eye(n), 1, axis=1) * draw(st.sampled_from([0.5, 1.0, 2.0]))
+    elif shape == "lazy-walk":
+        kernel = 0.9 * np.eye(n) + 0.05 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    elif shape == "jordan":
+        kernel = 0.5 * np.eye(n) + np.eye(n, k=1)
     zero = st.none() | st.integers(0, n - 1)
     zero_row, zero_col = draw(zero), draw(zero)
     if zero_row is not None:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import rpos.reciprocal
 from rpos import (
+    DriftSearchError,
     Measure,
     ReciprocalInput,
     WeightedFunction,
@@ -248,6 +250,38 @@ class TestCertify:
         )
         cert = certify(bad)
         assert not cert.passed and cert.stage == "eigenfunction"
+
+    def test_nu_without_mass_on_the_support_fails_at_spectral(self):
+        # diag(0.7, 0.4): eta = (1, 0) is supported on state 0, nu on state 1
+        P = make_operator(np.diag([0.7, 0.4]))
+        inp = ReciprocalInput(
+            P=P,
+            psi=WeightedFunction.ones(P.space),
+            eta=WeightedFunction(P.space, [1.0, 0.0]),
+            theta0=0.7,
+            zeta=np.array([1.0, 0.5, 0.25]),
+            nu_P=Measure(P.space, [0.0, 1.0]),
+        )
+        cert = certify(inp)
+        assert not cert.passed and cert.stage == "spectral"
+        assert cert.diagnostics == "nu_P gives no mass to the support"
+
+    def test_drift_search_failure_backs_off_to_find_drift(self, two_state, monkeypatch):
+        # The full support is always an admissible level once nu_R has mass,
+        # so a valid input never gets here: stand in a failing search.
+        tried = []
+
+        def failing_search(v0, R, rho, level, nu_R):
+            tried.append(rho)
+            raise DriftSearchError("no sublevel set is reachable")
+
+        monkeypatch.setattr(rpos.reciprocal, "find_drift", failing_search)
+        inp, _ = reciprocal_input(two_state["P"])
+        cert = certify(inp)
+        assert not cert.passed and cert.stage == "find_drift"
+        assert cert.diagnostics == "no sublevel set is reachable"
+        assert len(tried) == 3 and cert.m == 32  # m = 8, 16, 32 < len(zeta)
+        assert cert.rho == tried[-1]
 
     def test_undecaying_zeta_raises(self, two_state):
         inp = ReciprocalInput(

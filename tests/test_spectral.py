@@ -19,6 +19,8 @@ from rpos import (
     vector_field,
 )
 
+from rpos.spectral import _fit_geometric
+
 from conftest import make_operator, perron_oracle, random_kernel, unit_space
 
 
@@ -65,9 +67,96 @@ class TestPowerIterate:
     def test_periodic_spectrum_fails_with_history(self):
         P = make_operator([[0.0, 1.0], [1.0, 0.0]])
         psi = WeightedFunction(P.space, [1.0, 2.0])  # not the Perron direction
-        with pytest.raises(PowerIterationError) as err:
+        with pytest.raises(PowerIterationError, match="period 2") as err:
             power_iterate(P, psi, max_iter=300)
+        assert err.value.history.size > 0
+
+    @pytest.mark.parametrize(
+        "kernel, psi",
+        [
+            ([[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0]),
+            (1e20 * np.roll(np.eye(3), 1, axis=1), [1.0, 1.0, 1.0]),
+        ],
+        ids=["2-cycle", "3-cycle"],
+    )
+    def test_periodic_kernel_names_its_period(self, kernel, psi):
+        # psi = 1 is the Perron direction: the first sweep has residual 0
+        P = make_operator(kernel)
+        with pytest.raises(PowerIterationError, match=f"period {len(psi)}"):
+            power_iterate(P, WeightedFunction(P.space, psi))
+
+    @pytest.mark.parametrize(
+        "kernel, tol",
+        [
+            (0.5 * np.eye(5) + np.eye(5, k=1), 1e-13),
+            (np.triu(np.full((5, 5), 0.3)), 1e-13),
+            ([[0.5, 1.0], [0.0, 0.5]], 1e-12),
+            ([[0.5, 1.0], [0.0, 0.5]], 1e-13),
+        ],
+        ids=["jordan-block", "upper-triangular", "2-jordan-1e-12", "2-jordan-1e-13"],
+    )
+    def test_defective_kernel_fails_fast(self, kernel, tol):
+        P = make_operator(kernel)
+        with pytest.raises(PowerIterationError, match="defective") as err:
+            power_iterate(P, WeightedFunction.ones(P.space), tol=tol)
+        assert 0 < err.value.history.size <= 200
+
+    def test_non_normal_kernel_is_not_defective(self):
+        # eigenvalues 1 and 0.9; the left eigenvector (1, 1e10) leaves the
+        # pairing of the normalized pair at 1e-10, which has settled
+        P = make_operator([[1.0, 1e9], [0.0, 0.9]])
+        t = power_iterate(P, WeightedFunction.ones(P.space))
+        assert t.theta0 == pytest.approx(1.0, rel=1e-13)
+        assert t.eta.values[0] == pytest.approx(1.0 + 1e10, rel=1e-12)
+        assert t.eta.values[1] <= 1e-12
+
+    def test_noda_steps_end_at_the_round_off_floor(self, monkeypatch):
+        # tol 1e-17 lies below the residual's round-off floor: once a Noda
+        # step fails to lower the residual, the loop sweeps
+        solve, solves = np.linalg.solve, []
+
+        def counting_solve(a, b):
+            solves.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        n = 200
+        P = make_operator(0.35 * np.eye(n) + 0.3 * (np.eye(n, k=1) + np.eye(n, k=-1)))
+        with pytest.raises(PowerIterationError, match="no convergence") as err:
+            power_iterate(P, WeightedFunction.ones(P.space), tol=1e-17, max_iter=300)
         assert err.value.history.size == 300
+        assert len(solves) <= 2 * 20  # two solves per Noda step
+
+    @pytest.mark.parametrize("n", [100, 200, 400])
+    def test_slow_gap_walk_converges(self, n):
+        # killed walk, stay 0.35, move 0.3: gap ratio 1 - O(n^-2)
+        K = 0.35 * np.eye(n) + 0.3 * (np.eye(n, k=1) + np.eye(n, k=-1))
+        P = make_operator(K)
+        t = power_iterate(P, WeightedFunction.ones(P.space))
+        assert t.iterations <= 30
+        theta = 0.35 + 0.6 * np.cos(np.pi / (n + 1))
+        assert abs(t.theta0 - theta) <= 1e-12 * theta
+        sine = np.sin(np.arange(1, n + 1) * np.pi / (n + 1))
+        eta = t.eta.values
+        assert np.max(np.abs(eta / eta.max() - sine / sine.max())) <= 1e-10
+
+    def test_singular_shift_is_a_sweep(self, monkeypatch):
+        # diag(1, 0.5): the Collatz-Wielandt shift is 1 = theta0 exactly
+        solve, singular = np.linalg.solve, []
+
+        def recording_solve(a, b):
+            try:
+                return solve(a, b)
+            except np.linalg.LinAlgError:
+                singular.append(a.shape)
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        P = make_operator(np.diag([1.0, 0.5]))
+        t = power_iterate(P, WeightedFunction.ones(P.space))
+        assert singular
+        assert t.theta0 == pytest.approx(1.0, abs=1e-13)
+        assert np.allclose(t.eta.values, [1.0, 0.0], atol=1e-12)
 
     def test_zero_operator_fails(self):
         P = make_operator(np.zeros((3, 3)))
@@ -251,6 +340,16 @@ class TestMeasureEq3:
         t = power_iterate(P, psi, tol=1e-12)
         rep = measure_eq3(P, t.theta0, t.eta, t.nu_P, psi, n_max)
         assert rep.passed
+
+
+class TestFitGeometric:
+    def test_too_few_points_above_the_floor_fail(self):
+        # one isolated error above the floor in the window, none before it
+        errors = np.zeros(12)
+        errors[0], errors[6] = 1.0, 0.5
+        rep = _fit_geometric("eq2", np.arange(12), errors, 2.0)
+        assert not rep.passed
+        assert rep.fitted_rate == 0.0 and rep.fitted_constant == 0.25
 
 
 class TestCsvEmission:
