@@ -106,7 +106,9 @@ def power_iterate(
     verdict on those is read off the pair: after the loop, the period of
     the support graph on {eta > 0} and {nu_P > 0} must be 1, and the
     pairing nu_P(eta) of the unnormalized pair must have settled above
-    round-off rather than fallen with the residual.
+    round-off rather than fallen with the residual. Sweeps do not converge
+    on a periodic kernel, so once Noda steps have ended the period is read
+    also after N sweeps in a row that do not lower the least residual.
 
     Raises
     ------
@@ -129,6 +131,7 @@ def power_iterate(
     history, pairing = [], []  # residual and m @ f of each pair
     theta = 0.0
     noda_ok, noda = True, False  # Noda steps allowed; the last step was one
+    best, stale = np.inf, 0  # least residual; sweeps in a row that stayed above it
     # Overflow surfaces as theta = inf (or as a nan iterate, read as theta 0.0)
     # and raises below, so numpy's own warnings would add nothing.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -149,6 +152,13 @@ def power_iterate(
             pairing.append(denom)
             if history[-1] <= tol:
                 break
+            # A periodic pair cycles and never lowers its residual. Once N
+            # sweeps after the last Noda step leave it above its least value,
+            # the support of the pair has settled: read the period there.
+            stale = 0 if noda_ok or history[-1] < best else stale + 1
+            best = min(best, history[-1])
+            if stale == n:
+                _check_aperiodic(K, f, m, history)
             # A Noda step that does not lower the residual (the round-off
             # floor, or a non-normal kernel) ends Noda steps: sweeps finish.
             noda_ok = noda_ok and not (noda and history[-1] >= history[-2])

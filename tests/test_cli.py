@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rpos.cli import main
+from rpos.cli import _dumps, main
 
 from conftest import make_operator
 
@@ -152,8 +152,12 @@ class TestModelRunCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["g_report"]["overall"] is True
         assert abs(report["mc_probe"]["z_score"]) <= 4.0
-        kernel = json.loads((out / "kernel.json").read_text())
-        assert list(kernel.keys()) == ["points", "ref_weights", "kernel", "step_label"]
+        from rpos import build_pds_kernel
+        from rpos.cli import parse_config, pds_from_config
+
+        op = build_pds_kernel(pds_from_config(parse_config(cfg))).operator
+        expected = json.dumps(op.to_dict(), indent=2) + "\n"
+        assert (out / "kernel.json").read_bytes() == expected.encode()
         assert (out / "eq1.csv").exists() and (out / "eq2.csv").exists()
 
     def test_domain_box_reaches_the_model(self, tmp_path):
@@ -430,3 +434,34 @@ def test_operator_commands_exit_with_a_code(drawn):
             out = Path(tmp) / command
             code = run([command, "--config", cfg, "--out", out, "--quiet"])
             assert code in (0, 1, 2)
+
+
+# Values json spells specially (NaN, Infinity, -0.0, subnormals, the switch
+# to exponent form at 1e16 and 1e-5), big ints, and strings holding the ", "
+# that the writer's number-list path splits on.
+_FLOATS = st.floats() | st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 2.2e-308, 1e16, 1e-5]
+)
+_INTS = st.integers() | st.integers(-(10**40), 10**40)
+_TEXT = st.text() | st.sampled_from([", ", "a, b", "\u00e9, \u00fc"])
+_KEYS = _TEXT | _INTS | _FLOATS | st.booleans() | st.none()
+_SCALARS = st.none() | st.booleans() | _INTS | _FLOATS | _TEXT
+_NUMBER_LISTS = st.lists(_INTS | _FLOATS, min_size=1) | st.lists(_FLOATS | st.booleans())
+_JSON_VALUES = st.recursive(
+    _SCALARS | _NUMBER_LISTS,
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.dictionaries(_KEYS, inner),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_JSON_VALUES)
+def test_dumps_is_json_dumps_with_indent_2(obj):
+    assert _dumps(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+def test_dumps_keeps_json_key_rules():
+    with pytest.raises(TypeError, match="keys must be str"):
+        _dumps({"a": {(1, 2): 0}})

@@ -86,6 +86,22 @@ class TestPowerIterate:
             power_iterate(P, WeightedFunction(P.space, psi))
 
     @pytest.mark.parametrize(
+        "kernel, psi",
+        [
+            ([[0.0, 0.139, 0.0], [0.0, 0.0, 0.119], [0.767, 0.0, 0.0]], [8.503, 0.055, 0.39]),
+            ([[0.0, 0.041, 0.0], [0.0, 0.0, 0.278], [1.588, 0.0, 0.0]], [2.643, 1.431, 4.149]),
+        ],
+        ids=["3-cycle-a", "3-cycle-b"],
+    )
+    def test_periodic_kernel_fails_fast_after_noda_steps_end(self, kernel, psi):
+        # A Noda step raises the residual and ends Noda steps, so sweeps take
+        # over and cycle; the period is read after 3 sweeps, not max_iter.
+        P = make_operator(kernel)
+        with pytest.raises(PowerIterationError, match="period 3") as err:
+            power_iterate(P, WeightedFunction(P.space, psi))
+        assert 0 < err.value.history.size <= 20
+
+    @pytest.mark.parametrize(
         "kernel, tol",
         [
             (0.5 * np.eye(5) + np.eye(5, k=1), 1e-13),
