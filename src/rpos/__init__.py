@@ -72,8 +72,7 @@ from .spectral import (
     SemigroupConsistencyError,
     SkeletonReport,
     SpectralTriple,
-    measure_eq1,
-    measure_eq2,
+    measure_eq1_eq2,
     measure_eq3,
     power_iterate,
     skeleton_analysis,

@@ -51,8 +51,7 @@ from .spectral import (
     PowerIterationError,
     SemigroupConsistencyError,
     half_probe,
-    measure_eq1,
-    measure_eq2,
+    measure_eq1_eq2,
     measure_eq3,
     power_iterate,
     skeleton_analysis,
@@ -148,6 +147,8 @@ def load_operator_bundle(path: Path):
             except (ValueError, TypeError) as err:
                 raise UsageError(f"malformed operator JSON field '{name}': {err}") from err
             values = bundle[name].values
+            if not np.all(np.isfinite(values)):
+                raise UsageError(f"operator JSON field '{name}' must be finite")
             if name == "psi2" and not np.all(values >= 0.0):
                 raise UsageError("operator JSON field 'psi2' must be nonnegative")
             if name != "psi2" and not np.all(values > 0.0):
@@ -188,8 +189,7 @@ def cmd_spectral(cfg, args, config_path):
     n_max = _int(cfg, "n_max", 60, 1, args.n_max)
     triple = power_iterate(op, psi1, tol=tol)
     mu, f = Measure.point_mass(op.space, 0), half_probe(psi1)
-    eq1 = measure_eq1(op, psi1, psi2, mu, f, n_max, triple=triple)
-    eq2 = measure_eq2(op, triple.theta0, triple.eta, triple.nu_P, psi1, mu, f, n_max)
+    eq1, eq2 = measure_eq1_eq2(op, triple, psi1, psi2, mu, f, n_max)
     report = {
         "schema": SCHEMA,
         "command": "spectral",
@@ -365,8 +365,8 @@ def cmd_skeleton(cfg, args, config_path):
     model = diffusion_from_config(cfg)
     n_substeps = _int(cfg, "skeleton.substeps", 8, 1)
     family = build_diffusion_generator(model, n_substeps=n_substeps)
-    sk = skeleton_analysis(family.family, model.t0, family.psi)
-    gir = girsanov_check(model, family=family)
+    sk = skeleton_analysis(family.family, family.psi)
+    gir = girsanov_check(family)
     report = {
         "schema": SCHEMA,
         "command": "skeleton",

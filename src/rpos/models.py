@@ -42,8 +42,7 @@ from .core import (
 from .spectral import (
     ConvergenceReport,
     SpectralTriple,
-    measure_eq1,
-    measure_eq2,
+    measure_eq1_eq2,
     power_iterate,
 )
 from .transforms import tilt_submarkov
@@ -411,7 +410,6 @@ class DiffusionFamily:
     generator: np.ndarray
     family: list
     psi: WeightedFunction
-    t0: float
 
     @property
     def at_t0(self) -> TransferOperator:
@@ -423,31 +421,26 @@ def build_diffusion_generator(
 ) -> DiffusionFamily:
     """Discretize the generator and exponentiate it to a skeleton family.
 
-    Returns operators at times k t0 / n_substeps for k = 0..n_substeps,
-    built from one uniformized exponential of the smallest step and exact
-    kernel products, so the family satisfies the semigroup identity to
-    round-off and every kernel is entrywise nonnegative.
+    Returns the operators [P_0, P_delta, ..., P_t0] at the times
+    k t0 / n_substeps, k = 0..n_substeps, each labeled with its time (the
+    last exactly t0): the identity, then powers of one uniformized
+    exponential of the smallest step, so the family satisfies the
+    semigroup identity to round-off and every kernel is entrywise
+    nonnegative.
     """
     space = _diffusion_space(model)
     pts = space.points
     drift = np.asarray(model.b(pts), dtype=float).reshape(space.size, model.dim)
     r_vals = np.asarray(model.r(pts), dtype=float)
     A = _assemble_generator(model, space, drift, kill=-r_vals + 0.0)
-    delta = model.t0 / n_substeps
-    step = uniformized_exponential(A, delta)
-    family = [TransferOperator.identity(space, step_label=0.0)]
+    times = np.linspace(0.0, model.t0, n_substeps + 1).tolist()
+    step = uniformized_exponential(A, times[1])
     powers = islice(orbit(step, step, left=True), n_substeps)
-    for k, kern in enumerate(powers, start=1):
-        family.append(TransferOperator(space, kern, step_label=k * delta))
+    family = [TransferOperator.identity(space, step_label=0.0)]
+    for kern, t in zip(powers, times[1:]):
+        family.append(TransferOperator(space, kern, step_label=t))
     psi = WeightedFunction(space, np.exp(pts.sum(axis=1)))
-    return DiffusionFamily(
-        model=model,
-        space=space,
-        generator=A,
-        family=family,
-        psi=psi,
-        t0=model.t0,
-    )
+    return DiffusionFamily(model, space, A, family, psi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -464,18 +457,15 @@ class GirsanovReport:
     h: float
 
 
-def girsanov_check(
-    model: DiffusionModel, n_substeps: int = 8, family: DiffusionFamily | None = None
-) -> GirsanovReport:
+def girsanov_check(family: DiffusionFamily) -> GirsanovReport:
     """Cross-check the exp(sum x) tilt against the shifted-drift build.
 
-    Tilting the t0 operator by psi = exp(sum_i x_i) with normalizer
-    ``exp(a t0)``, a = d/2 + sup(r + sum_i b_i), must agree with the direct
-    discretization of the diffusion with drift 1 + b killed at rate
-    ``kappa = a - r - d/2 - sum_i b_i >= 0``, up to mesh error.
+    Tilting the t0 operator of ``family`` by psi = exp(sum_i x_i) with
+    normalizer ``exp(a t0)``, a = d/2 + sup(r + sum_i b_i), must agree with
+    the direct discretization of the diffusion with drift 1 + b killed at
+    rate ``kappa = a - r - d/2 - sum_i b_i >= 0``, up to mesh error.
     """
-    if family is None:
-        family = build_diffusion_generator(model, n_substeps=n_substeps)
+    model = family.model
     space = family.space
     pts = space.points
     drift = np.asarray(model.b(pts), dtype=float).reshape(space.size, model.dim)
@@ -765,10 +755,7 @@ def run_pds_analysis(
     triple = power_iterate(P, psi1)
     mu = Measure.point_mass(P.space, int(np.argmin(radius)))
     f = WeightedFunction(P.space, psi1.values * (radius <= 1.0))
-    eq1 = measure_eq1(P, psi1, psi2, mu, f, eq_n_max, triple=triple)
-    eq2 = measure_eq2(
-        P, triple.theta0, triple.eta, triple.nu_P, psi1, mu, f, eq_n_max
-    )
+    eq1, eq2 = measure_eq1_eq2(P, triple, psi1, psi2, mu, f, eq_n_max)
     return PdsAnalysis(
         build=build,
         hypotheses=hyp,

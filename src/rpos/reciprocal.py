@@ -88,18 +88,17 @@ class DriftResult:
 
 
 def build_v0(
-    inp: ReciprocalInput,
-    m: int,
-    lam: float,
-    h_record: HTransformRecord | None = None,
+    inp: ReciprocalInput, m: int, lam: float, h_record: HTransformRecord
 ) -> WeightedFunction:
-    """Foster-Lyapunov function V0 = sum_{k<m} lam^-k R_k(psi/eta) on E'."""
+    """Foster-Lyapunov function V0 = sum_{k<m} lam^-k R_k(psi/eta) on E'.
+
+    R is the h-transform of ``inp`` in ``h_record`` (``h_transform`` of P by
+    eta, theta0, with psi1 = psi).
+    """
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lambda must lie in (0, 1), got {lam}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if h_record is None:
-        h_record = h_transform(inp.P, inp.eta, inp.theta0, psi1=inp.psi)
     idx = h_record.support.indices
     u = inp.psi.values[idx] / inp.eta.values[idx]
     acc = sum(islice(orbit(h_record.transformed.kernel, u, lam), int(m)))
@@ -296,9 +295,9 @@ def certify(
 
     last = None
     for m, lam, rho in _schedule(m_max):
-        if m >= inp.zeta.size or (
-            inp.zeta[m] > 0.0 and inp.zeta[m] ** (1.0 / m) > lam
-        ):
+        try:
+            psi1 = extend_psi1(inp, m, lam)
+        except ZetaConditionError:
             continue
         V0 = build_v0(inp, m, lam, h_record=H)
         try:
@@ -308,7 +307,6 @@ def certify(
                 "find_drift", inp, resid, diagnostics=str(err), m=m, lam=lam, rho=rho
             )
             continue
-        psi1 = extend_psi1(inp, m, lam)
         K_full = SubsetMask.from_indices(P.space, idx[drift.K.member])
         nu = _minorizing_measure(P, H, u.values, drift)
         g_report = GReport(

@@ -6,11 +6,13 @@ to produce the dominant eigenvalue theta0, the nonnegative right
 eigenfunction eta and the left eigenmeasure nu_P, normalized so that
 nu_P(psi1) = nu_P(eta) = 1. Periodic and defective dominant spectra are
 read off the support graph and the pair, not off non-convergence.
-The ``measure_eq*`` routines evaluate, step by step, the left-hand sides of
-the three geometric convergence inequalities the triple is supposed to
-satisfy, and fit a geometric envelope to the measured profile.
-``skeleton_analysis`` assembles the continuous-time conclusions from a
-family of skeleton operators on a time grid.
+``measure_eq1_eq2`` walks the masses mu P_n once and reads off both the
+ratio profile of eq1 and the theta0-normalized profile of eq2;
+``measure_eq3`` evolves the whole normalized kernel for the uniform eq3
+profile. Each fits a geometric envelope in ``_fit_geometric``, the one
+place a verdict is decided. ``skeleton_analysis`` assembles the
+continuous-time conclusions from the family [P_0, P_delta, ..., P_t0] of a
+semigroup, walking the same eq1/eq2 masses under the step P_delta.
 """
 
 from __future__ import annotations
@@ -107,8 +109,8 @@ def power_iterate(
     the support graph on {eta > 0} and {nu_P > 0} must be 1, and the
     pairing nu_P(eta) of the unnormalized pair must have settled above
     round-off rather than fallen with the residual. Sweeps do not converge
-    on a periodic kernel, so once Noda steps have ended the period is read
-    also after N sweeps in a row that do not lower the least residual.
+    on a periodic kernel, so the period is read also after N sweeps in a
+    row since the last Noda step that do not lower the least residual.
 
     Raises
     ------
@@ -155,7 +157,7 @@ def power_iterate(
             # A periodic pair cycles and never lowers its residual. Once N
             # sweeps after the last Noda step leave it above its least value,
             # the support of the pair has settled: read the period there.
-            stale = 0 if noda_ok or history[-1] < best else stale + 1
+            stale = 0 if noda or history[-1] < best else stale + 1
             best = min(best, history[-1])
             if stale == n:
                 _check_aperiodic(K, f, m, history)
@@ -391,67 +393,62 @@ def _check_dominated(f: WeightedFunction, psi1: WeightedFunction):
         raise ValueError("test function must satisfy |f| <= psi1 pointwise")
 
 
-def measure_eq1(
+class NonConvergingMassError(ArithmeticError):
+    """The evolved mass vanished and the ratio profile cannot continue."""
+
+
+def measure_eq1_eq2(
     P: TransferOperator,
+    triple: SpectralTriple,
     psi1: WeightedFunction,
     psi2: WeightedFunction,
     mu: Measure,
     f: WeightedFunction,
     n_max: int,
-    triple: SpectralTriple | None = None,
-) -> ConvergenceReport:
-    """Profile of |mu P_n f / mu P_n psi1 - nu_P(f)| over n = 0..n_max.
+) -> tuple[ConvergenceReport, ConvergenceReport]:
+    """Profiles of eq1 and eq2 over n = 0..n_max, from one walk of mu P_n.
 
-    The expected envelope scales with mu(psi1)/mu(psi2). The evolved mass
-    vector is renormalized each step by mu P_n psi1, so the ratio is immune
-    to overflow and underflow of the raw semigroup.
+    eq1 is |mu P_n f / mu P_n psi1 - nu_P(f)|, its envelope scaled by
+    mu(psi1)/mu(psi2); eq2 is |theta0^-n mu P_n f - mu(eta) nu_P(f)|,
+    scaled by mu(psi1).
     """
     _check_dominated(f, psi1)
     mu_psi2 = mu.mass(psi2)
     if mu_psi2 <= 0.0:
         raise ValueError("initial measure must satisfy mu(psi2) > 0")
-    if triple is None:
-        triple = power_iterate(P, psi1)
-    scale = mu.mass(psi1) / mu_psi2
+    e1, e2 = _eq1_eq2_walk(P.kernel, triple.theta0, triple, psi1, mu, f, n_max + 1)
+    index = np.arange(n_max + 1)
+    return (
+        _fit_geometric("eq1", index, e1, mu.mass(psi1) / mu_psi2),
+        _fit_geometric("eq2", index, e2, mu.mass(psi1)),
+    )
+
+
+def _eq1_eq2_walk(K, rate, triple, psi1, mu, f, steps):
+    """eq1 and eq2 errors of the masses mu K^n, n < steps, ``rate`` for theta0.
+
+    The walk divides the mass vector m by b = m(psi1) before each step, so
+    the eq1 ratio m(f) / b is immune to overflow and underflow of the raw
+    semigroup. eq2's rate^-n mu K^n f is that ratio times
+    rate^-n mu K^n psi1, the running product of b / rate from mu(psi1) on,
+    which decays to 0 rather than fails where mu(eta) = 0.
+    """
     nu_f = triple.nu_P.mass(f)
+    limit = mu.mass(triple.eta) * nu_f
     m = mu.masses.copy()
-    errors = np.empty(n_max + 1)
-    for n in range(n_max + 1):
+    e1, e2 = np.empty(steps), np.empty(steps)
+    for n in range(steps):
         b = m @ psi1.values
         if b <= 0.0:
             raise NonConvergingMassError(
                 f"mu P_n psi1 vanished at step {n}; profile is irrecoverable"
             )
-        errors[n] = abs((m @ f.values) / b - nu_f)
-        m = (m / b) @ P.kernel
-    return _fit_geometric("eq1", np.arange(n_max + 1), errors, scale)
-
-
-class NonConvergingMassError(ArithmeticError):
-    """The evolved mass vanished and the ratio profile cannot continue."""
-
-
-def measure_eq2(
-    P: TransferOperator,
-    theta0: float,
-    eta: WeightedFunction,
-    nu_P: Measure,
-    psi1: WeightedFunction,
-    mu: Measure,
-    f: WeightedFunction,
-    n_max: int,
-) -> ConvergenceReport:
-    """Profile of |theta0^-n mu P_n f - mu(eta) nu_P(f)| over n = 0..n_max.
-
-    The mass vector is divided by theta0 each step, so the evolved quantity
-    stays O(1) for any magnitude of theta0.
-    """
-    _check_dominated(f, psi1)
-    scale = mu.mass(psi1)
-    limit = mu.mass(eta) * nu_P.mass(f)
-    masses = islice(orbit(P.kernel, mu.masses, theta0, left=True), n_max + 1)
-    errors = np.array([abs(m @ f.values - limit) for m in masses])
-    return _fit_geometric("eq2", np.arange(n_max + 1), errors, scale)
+        ratio = (m @ f.values) / b
+        mass = mass * (b / rate) if n else b  # rate^-n mu K^n psi1
+        e1[n] = abs(ratio - nu_f)
+        e2[n] = abs(ratio * mass - limit)
+        m = (m / b) @ K
+    return e1, e2
 
 
 def measure_eq3(
@@ -516,28 +513,20 @@ class SkeletonReport:
         }
 
 
-def _time_key(t: float) -> float:
-    # Canonical dict key for a grid time; absorbs float round-off in sums.
-    return round(float(t), 9)
-
-
-def _consistency_residual(by_time):
-    """Max relative defect of P_{s+t} = P_s P_t over pairs in the grid."""
-    times = sorted(by_time)
+def _consistency_residual(family):
+    """Max relative defect of P_(i+j) = P_i P_j over the family's index pairs."""
     worst = 0.0
     worst_pair = None
-    for s in times:
-        if s <= 0.0:
-            continue
-        for t in times:
-            if t <= 0.0 or _time_key(s + t) not in by_time:
-                continue
-            lhs = by_time[s].kernel @ by_time[t].kernel
-            rhs = by_time[_time_key(s + t)].kernel
+    n = len(family) - 1
+    for i in range(1, n):
+        for j in range(1, n - i + 1):
+            lhs = family[i].kernel @ family[j].kernel
+            rhs = family[i + j].kernel
             denom = max(np.max(np.abs(rhs)), 1e-300)
             resid = float(np.max(np.abs(lhs - rhs)) / denom)
             if resid > worst:
-                worst, worst_pair = resid, (s, t)
+                worst = resid
+                worst_pair = (family[i].step_label, family[j].step_label)
     return worst, worst_pair
 
 
@@ -553,86 +542,61 @@ _SKELETON_PERIODS = 8
 _CONSISTENCY_TOL = 1e-8
 
 
-def skeleton_analysis(family, t0: float, psi1: WeightedFunction) -> SkeletonReport:
+def skeleton_analysis(family, psi1: WeightedFunction) -> SkeletonReport:
     """Continuous-time analysis of a semigroup from its skeleton operators.
 
-    ``family`` is a list of TransferOperators whose ``step_label`` fields are
-    the (real) times of a grid containing t0 and intermediate times in
-    [0, t0]. The family must satisfy the semigroup identity on the grid
-    within 1e-8; the eigen triple of the t0 operator gives the growth rate
-    ``lambda0 = log(theta0) / t0`` and, as its eigenfunction eta, the lower
-    weight psi2. The sandwich constants bound P_t psi1 / psi1 from above
-    and P_t psi2 / psi2 from below over the grid times inside [0, t0]. The
-    convergence profiles start from the uniform measure, test
-    ``half_probe(psi1)`` and run over the grid extended by composing with
-    the t0 operator for 8 periods.
+    ``family`` is the list [P_0, P_delta, ..., P_t0] of operators at the
+    n + 1 equally spaced times k t0 / n, n >= 1, as
+    ``build_diffusion_generator`` returns it: P_0 is the identity and each
+    ``step_label`` is the member's time. The family must satisfy the
+    semigroup identity P_(i+j) = P_i P_j within 1e-8; the eigen triple of
+    P_t0 gives the growth rate ``lambda0 = log(theta0) / t0`` and, as its
+    eigenfunction eta, the lower weight psi2. Every member is a power of the
+    step S = P_delta, so the sandwich constants bound S^k psi1 / psi1 from
+    above and S^k psi2 / psi2 from below for k = 0..n, and the convergence
+    profiles walk mu S^k at rate theta0^(1/n) for 8 periods, from the
+    uniform measure with test function ``half_probe(psi1)``.
     """
-    if not family:
-        raise ValueError("family must contain at least one operator")
+    if len(family) < 2:
+        raise ValueError("family must hold P_0 and at least one later operator")
     space = family[0].space
     for op in family:
         if op.space is not space and op.space != space:
             raise SpaceMismatchError("family operators live on different spaces")
-    by_time = {_time_key(op.step_label): op for op in family}
-    if 0.0 not in by_time:
-        by_time[0.0] = TransferOperator.identity(space, step_label=0.0)
-    times = sorted(by_time)
-    t0 = _time_key(t0)
-    if t0 not in by_time:
-        raise ValueError(f"family does not contain the skeleton time t0 = {t0}")
-    resid, pair = _consistency_residual(by_time)
+    resid, pair = _consistency_residual(family)
     if resid > _CONSISTENCY_TOL:
         raise SemigroupConsistencyError(
             f"family violates the semigroup law at pair {pair} "
             f"(residual {resid:.3e} > {_CONSISTENCY_TOL:g})"
         )
-    triple = power_iterate(by_time[t0], psi1)
+    n = len(family) - 1
+    t0 = family[-1].step_label
+    triple = power_iterate(family[-1], psi1)
     psi2 = triple.eta
     lambda0 = float(np.log(triple.theta0) / t0)
 
-    head = [t for t in times if 0.0 <= t <= t0]
-    c_bar = 0.0
-    c_under = np.inf
+    S = family[1].kernel
     pos2 = psi2.values > 0.0
-    for t in head:
-        K = by_time[t].kernel
-        c_bar = max(c_bar, float(np.max((K @ psi1.values) / psi1.values)))
-        if pos2.any():
-            c_under = min(
-                c_under,
-                float(np.min((K @ psi2.values)[pos2] / psi2.values[pos2])),
-            )
+    c_bar, c_under = 0.0, np.inf
+    sandwich = zip(orbit(S, psi1.values), orbit(S, psi2.values))
+    for up, down in islice(sandwich, n + 1):
+        c_bar = max(c_bar, float(np.max(up / psi1.values)))
+        c_under = min(c_under, float(np.min(down[pos2] / psi2.values[pos2])))
 
     mu = Measure.uniform(space)
     f = half_probe(psi1)
-
-    nu_f = triple.nu_P.mass(f)
-    limit2 = mu.mass(triple.eta) * nu_f
-    grid = [t for t in times if 0.0 <= t < t0]
-    ts, e1, e2 = [], [], []
-    periods = orbit(by_time[t0].kernel, mu.masses, left=True)
-    for k, m_base in enumerate(islice(periods, _SKELETON_PERIODS)):
-        for t in grid:
-            m_t = m_base @ by_time[t].kernel if t > 0.0 else m_base
-            tt = k * t0 + t
-            b = m_t @ psi1.values
-            if b <= 0.0:
-                raise NonConvergingMassError(f"mu P_t psi1 vanished at t = {tt}")
-            ts.append(tt)
-            e1.append(abs((m_t @ f.values) / b - nu_f))
-            e2.append(
-                abs((m_t @ f.values) * triple.theta0 ** (-(tt / t0)) - limit2)
-            )
+    rate = triple.theta0 ** (1.0 / n)
+    e1, e2 = _eq1_eq2_walk(S, rate, triple, psi1, mu, f, _SKELETON_PERIODS * n)
+    labels = np.array([op.step_label for op in family[:-1]], dtype=float)
+    ts = (t0 * np.arange(_SKELETON_PERIODS)[:, None] + labels).ravel()
     scale1 = mu.mass(psi1) / max(mu.mass(psi2), 1e-300)
-    rep1 = _fit_geometric("eq1cont", ts, e1, scale1)
-    rep2 = _fit_geometric("eq2cont", ts, e2, mu.mass(psi1))
     return SkeletonReport(
         lambda0=lambda0,
         c_bar=c_bar,
-        c_under=float(c_under),
+        c_under=c_under,
         triple=triple,
-        eq1=rep1,
-        eq2=rep2,
+        eq1=_fit_geometric("eq1cont", ts, e1, scale1),
+        eq2=_fit_geometric("eq2cont", ts, e2, mu.mass(psi1)),
         consistency_residual=resid,
         t0=t0,
     )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rpos import Measure, StateSpace, TransferOperator, WeightedFunction
+from rpos import Measure, SpectralTriple, StateSpace, TransferOperator, WeightedFunction
 
 
 def unit_space(n, dim=1):
@@ -53,13 +53,16 @@ def two_state():
     """The closed-form 2-state instance: theta0 = 0.7, eta = 1, nu = (1/3, 2/3)."""
     space = unit_space(2)
     P = TransferOperator(space, [[0.5, 0.2], [0.1, 0.6]])
+    eta = WeightedFunction(space, [1.0, 1.0])
+    nu_P = Measure(space, [1.0 / 3.0, 2.0 / 3.0])
     return {
         "space": space,
         "P": P,
         "one": WeightedFunction.ones(space),
         "theta0": 0.7,
-        "eta": WeightedFunction(space, [1.0, 1.0]),
-        "nu_P": Measure(space, [1.0 / 3.0, 2.0 / 3.0]),
+        "eta": eta,
+        "nu_P": nu_P,
+        "triple": SpectralTriple(0.7, eta, nu_P, 0.0, 0.0, 0),
         "gap": 4.0 / 7.0,
     }
 

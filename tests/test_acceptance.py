@@ -26,8 +26,7 @@ from rpos import (
     girsanov_check,
     h_transform,
     mc_feynman_kac,
-    measure_eq1,
-    measure_eq2,
+    measure_eq1_eq2,
     measure_eq3,
     power_iterate,
     run_pds_analysis,
@@ -82,8 +81,7 @@ def test_criterion_3_geometric_decay(two_state_op):
     mu = Measure.point_mass(space, 0)
     f = WeightedFunction(space, [1.0, 0.0])
     t = power_iterate(two_state_op, one)
-    rep1 = measure_eq1(two_state_op, one, one, mu, f, 40, triple=t)
-    rep2 = measure_eq2(two_state_op, t.theta0, t.eta, t.nu_P, one, mu, f, 40)
+    rep1, rep2 = measure_eq1_eq2(two_state_op, t, one, one, mu, f, 40)
     target = 4.0 / 7.0
     for rep in (rep1, rep2):
         assert rep.passed
@@ -254,9 +252,9 @@ def test_criterion_9_diffusion_model():
         t0=1.0,
     )
     fam8 = build_diffusion_generator(model, n_substeps=8)
-    sk8 = skeleton_analysis(fam8.family, model.t0, fam8.psi)
+    sk8 = skeleton_analysis(fam8.family, fam8.psi)
     fam16 = build_diffusion_generator(model, n_substeps=16)
-    sk16 = skeleton_analysis(fam16.family, model.t0, fam16.psi)
+    sk16 = skeleton_analysis(fam16.family, fam16.psi)
     assert np.isfinite(sk8.c_bar) and sk8.c_under > 0.0
     assert sk8.passed
     rel = abs(sk8.lambda0 - sk16.lambda0) / abs(sk8.lambda0)
@@ -278,11 +276,11 @@ def test_criterion_9_diffusion_model():
         f"slope {slope:.5f} vs lambda0 {sk8.lambda0:.5f} (se {se:.5f})"
     )
 
-    gir_coarse = girsanov_check(model, family=fam8)
+    gir_coarse = girsanov_check(fam8)
     fine_model = DiffusionModel(
         b=model.b, r=model.r, L=12.0, grid_n=800, t0=1.0
     )
-    gir_fine = girsanov_check(fine_model)
+    gir_fine = girsanov_check(build_diffusion_generator(fine_model))
     assert gir_fine.discrepancy < gir_coarse.discrepancy
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0, f"diffusion criterion took {elapsed:.1f}s"

@@ -65,6 +65,30 @@ class TestSpectralCommand:
         assert "analysis failed" in capsys.readouterr().err
 
 
+    def test_probe_outside_the_dominant_class_is_a_negative_answer(self, tmp_path):
+        # eq1 starts at state 0, whose only edge is a 1e-3 self-loop next to
+        # a dense 3-state block: mu(eta) = 0, theta0^-n mu P_n underflows and
+        # the eq1 ratio never reaches nu_P(f). The walk must keep going.
+        kernel = np.zeros((4, 4))
+        kernel[0, 0] = 1e-3
+        kernel[1:, 1:] = [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]
+        four = dict(
+            TWO_STATE,
+            points=[[0.0], [1.0], [2.0], [3.0]],
+            ref_weights=[1.0] * 4,
+            kernel=kernel.tolist(),
+        )
+        op = write_operator(tmp_path, four)
+        cfg = write_config(tmp_path, f"operator = {op.name}\n")
+        out = tmp_path / "out"
+        code = run(["spectral", "--n-max", "200", "--config", cfg, "--out", out])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["eq1"]["pass"] is False
+        eq2 = np.loadtxt(out / "eq2.csv", delimiter=",", skiprows=1)
+        assert eq2.shape == (201, 3) and np.all(np.isfinite(eq2))
+        assert eq2[-1, 1] <= 1e-12  # mu(eta) = 0: the eq2 profile decays to 0
+
 class TestCheckGCommand:
     def test_identity_fails_via_g1(self, tmp_path):
         identity = dict(TWO_STATE, kernel=[[1.0, 0.0], [0.0, 1.0]])
@@ -270,6 +294,9 @@ MALFORMED = {
     "negative-psi1": ("spectral", "", dict(THREE, psi1=[1.0, -1.0, 1.0])),
     "negative-psi2": ("check-g", "", dict(THREE, psi2=[1.0, -1.0, 1.0])),
     "psi2-zero-at-probe-start": ("spectral", "", dict(THREE, psi2=[0.0, 1.0, 1.0])),
+    "infinite-psi1": ("check-g", "", dict(THREE, psi1=[1.0, np.inf, 1.0])),
+    "infinite-psi2": ("check-g", "", dict(THREE, psi2=[1.0, np.inf, 1.0])),
+    "infinite-psi": ("reciprocal", "", dict(THREE, psi=[np.inf, 1.0, 1.0])),
     "n1-zero": ("check-g", "n1 = 0\n", THREE),
     "n1-negative": ("check-g", "n1 = -1\n", THREE),
     "k-indices-empty": ("check-g", "k.indices =\n", THREE),
@@ -381,7 +408,8 @@ def _operator_bundles(draw):
     Kernels are dense, triangular (reducible), cyclic (periodic), a lazy
     walk (slow gap: power_iterate takes Noda steps) or a Jordan block
     (defective), may carry a zero row and a zero column, and are scaled by
-    up to 1e+-300; psi, psi1 and psi2 are each present or not.
+    up to 1e+-300; psi, psi1 and psi2 are each present or not, and may hold
+    an infinite entry.
     """
     n = draw(st.integers(1, 5))
     entries = st.sampled_from([0.0, 0.1, 0.5, 1.0, 3.0])
@@ -410,8 +438,9 @@ def _operator_bundles(draw):
         "kernel": kernel.tolist(),
         "step_label": 1,
     }
-    weights = {"psi": [0.5, 1.0, 4.0, 1e10], "psi1": [0.5, 1.0, 4.0, 1e10],
-               "psi2": [0.0, 0.5, 1.0, 1e10]}
+    weights = {"psi": [0.5, 1.0, 4.0, 1e10, np.inf],
+               "psi1": [0.5, 1.0, 4.0, 1e10, np.inf],
+               "psi2": [0.0, 0.5, 1.0, 1e10, np.inf]}
     for name, values in weights.items():
         vec = st.lists(st.sampled_from(values), min_size=n, max_size=n)
         vec = draw(st.none() | vec)

@@ -228,7 +228,7 @@ class TestDiffusion:
             t0=1.0,
         )
         fam = build_diffusion_generator(model, n_substeps=8)
-        rep = skeleton_analysis(fam.family, model.t0, fam.psi)
+        rep = skeleton_analysis(fam.family, fam.psi)
         assert rep.consistency_residual <= 1e-12
         assert rep.passed
         assert rep.lambda0 < 0.0  # killing at the origin boundary
@@ -253,7 +253,7 @@ class TestDiffusion:
             t0=1.0,
         )
         fam = build_diffusion_generator(model)
-        rep = girsanov_check(model, family=fam)
+        rep = girsanov_check(fam)
         tilt = tilt_submarkov(fam.at_t0, fam.psi, c=np.exp(rep.a * model.t0))
         assert tilt.max_row_mass <= 1.0 + 1e-9
 
@@ -275,8 +275,12 @@ class TestDiffusion:
         base = dict(
             b=vector_field("affine:1,-1", 1), r=scalar_field("const:0"), t0=0.5
         )
-        coarse = girsanov_check(DiffusionModel(L=8.0, grid_n=80, **base))
-        fine = girsanov_check(DiffusionModel(L=8.0, grid_n=160, **base))
+        coarse = girsanov_check(
+            build_diffusion_generator(DiffusionModel(L=8.0, grid_n=80, **base))
+        )
+        fine = girsanov_check(
+            build_diffusion_generator(DiffusionModel(L=8.0, grid_n=160, **base))
+        )
         assert fine.discrepancy < coarse.discrepancy
         assert fine.discrepancy < 0.01
 

@@ -45,7 +45,8 @@ def reciprocal_input(P, psi=None, n_zeta=60, tol=1e-13):
 class TestBuildV0:
     def test_single_term_is_psi_over_eta(self, two_state):
         inp, t = reciprocal_input(two_state["P"])
-        v0 = build_v0(inp, 1, 0.8)
+        H = h_transform(inp.P, t.eta, t.theta0, psi1=inp.psi)
+        v0 = build_v0(inp, 1, 0.8, h_record=H)
         expect = inp.psi.values / t.eta.values
         assert np.allclose(v0.values, expect, rtol=1e-12)
 
@@ -59,7 +60,8 @@ class TestBuildV0:
             zeta=np.array([1.0, 0.5, 0.25]),
             nu_P=two_state["nu_P"],
         )
-        v0 = build_v0(inp, 2, 0.8)
+        H = h_transform(inp.P, inp.eta, inp.theta0, psi1=inp.psi)
+        v0 = build_v0(inp, 2, 0.8, h_record=H)
         assert np.allclose(v0.values, [2.25, 2.25], atol=1e-12)
 
     def test_telescoping_residual(self, rng):
@@ -77,9 +79,10 @@ class TestBuildV0:
         assert np.allclose(lhs, rhs, rtol=1e-10)
 
     def test_rejects_bad_lambda(self, two_state):
-        inp, _ = reciprocal_input(two_state["P"])
+        inp, t = reciprocal_input(two_state["P"])
+        H = h_transform(inp.P, t.eta, t.theta0, psi1=inp.psi)
         with pytest.raises(ValueError):
-            build_v0(inp, 4, 1.0)
+            build_v0(inp, 4, 1.0, h_record=H)
 
 
 class TestFindDrift:
@@ -139,7 +142,8 @@ class TestExtendPsi1:
         inp, t = reciprocal_input(P)
         m, lam = 6, 0.9
         psi1 = extend_psi1(inp, m, lam)
-        v0 = build_v0(inp, m, lam)
+        H = h_transform(P, t.eta, t.theta0, psi1=inp.psi)
+        v0 = build_v0(inp, m, lam, h_record=H)
         assert np.allclose(psi1.values, t.eta.values * v0.values, rtol=1e-10)
 
     def test_off_support_contraction(self):

@@ -10,8 +10,7 @@ from rpos import (
     WeightedFunction,
     build_pds_kernel,
     compose,
-    measure_eq1,
-    measure_eq2,
+    measure_eq1_eq2,
     measure_eq3,
     power_iterate,
     scalar_field,
@@ -19,9 +18,33 @@ from rpos import (
     vector_field,
 )
 
-from rpos.spectral import _fit_geometric
+from rpos.spectral import _fit_geometric, half_probe
 
 from conftest import make_operator, perron_oracle, random_kernel, unit_space
+
+
+def reducible_kernel(rng):
+    """An aperiodic class A and a period-2 class B, one feeding the other,
+    and a dead state (a zero row) that both feed; True when B dominates."""
+    na, nb = (int(k) for k in rng.integers(2, 5, size=2))
+    n = na + nb + 1
+    K = np.zeros((n, n))
+    K[:na, :na] = rng.uniform(0.05, 1.0, (na, na))
+    h = max(1, nb // 2)
+    B = np.zeros((nb, nb))  # bipartite: edges only across the two halves
+    B[:h, h:] = rng.uniform(0.05, 1.0, (h, nb - h))
+    B[h:, :h] = rng.uniform(0.05, 1.0, (nb - h, h))
+    ratio = rng.choice([rng.uniform(0.6, 0.85), rng.uniform(1.15, 1.4)])
+    radius_a = np.max(np.abs(np.linalg.eigvals(K[:na, :na])))
+    K[na:-1, na:-1] = B * ratio * radius_a / np.max(np.abs(np.linalg.eigvals(B)))
+    C = rng.uniform(0.05, 1.0, (nb, na))
+    if rng.uniform() < 0.5:
+        K[na:-1, :na] = C  # B upstream of A
+    else:
+        K[:na, na:-1] = C.T  # A upstream of B
+    K[:-1, -1] = rng.uniform(0.0, 1.0, n - 1)
+    perm = rng.permutation(n)
+    return K[np.ix_(perm, perm)], bool(ratio > 1.0)
 
 
 class TestPowerIterate:
@@ -100,6 +123,34 @@ class TestPowerIterate:
         with pytest.raises(PowerIterationError, match="period 3") as err:
             power_iterate(P, WeightedFunction(P.space, psi))
         assert 0 < err.value.history.size <= 20
+
+    def test_periodic_kernel_fails_fast_while_noda_solves_fail(self):
+        # Nearly every Noda solve on this 4-cycle is not finite and positive,
+        # so Noda steps never end; the period is read N sweeps after the
+        # last Noda step instead of after max_iter sweeps.
+        P = make_operator(5e-301 * np.roll(np.eye(4), 1, axis=1))
+        psi = WeightedFunction(P.space, [0.5, 4.0, 4.0, 1.0])
+        with pytest.raises(PowerIterationError, match="period 4") as err:
+            power_iterate(P, psi, tol=1e-12)
+        assert 0 < err.value.history.size <= 20
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_reducible_kernel_reads_the_dominant_class(self, seed):
+        # An aperiodic class and a period-2 class, one upstream of the other,
+        # plus a dead state that keeps Noda steps off: only a period-2
+        # dominant class may raise, and it must raise well before max_iter.
+        rng = np.random.default_rng(seed)
+        K, periodic = reducible_kernel(rng)
+        P = make_operator(K)
+        psi = WeightedFunction(P.space, rng.uniform(0.1, 5.0, K.shape[0]))
+        if periodic:
+            with pytest.raises(PowerIterationError, match="period 2") as err:
+                power_iterate(P, psi, tol=1e-12)
+            assert err.value.history.size <= 1000
+        else:
+            t = power_iterate(P, psi, tol=1e-12)
+            theta, *_ = perron_oracle(K)
+            assert t.theta0 == pytest.approx(theta, rel=1e-12)
 
     @pytest.mark.parametrize(
         "kernel, tol",
@@ -217,7 +268,7 @@ class TestPowerIterate:
             mu = Measure.point_mass(P.space, 0)
             f = WeightedFunction(P.space, np.eye(n)[1])
             n_max = max(12, min(60, int(np.log(1e-10) / np.log(gap))))
-            rep = measure_eq2(P, t.theta0, t.eta, t.nu_P, one, mu, f, n_max)
+            _, rep = measure_eq1_eq2(P, t, one, one, mu, f, n_max)
             assert rep.fitted_rate > 0
             assert 0.95 * gap <= rep.fitted_rate <= 1.05 * gap
 
@@ -226,30 +277,32 @@ class TestMeasureEq1:
     def test_two_state_rate(self, two_state):
         mu = Measure.point_mass(two_state["space"], 0)
         f = WeightedFunction(two_state["space"], [1.0, 0.0])
-        rep = measure_eq1(two_state["P"], two_state["one"], two_state["one"], mu, f, 40)
+        one = two_state["one"]
+        rep, _ = measure_eq1_eq2(two_state["P"], two_state["triple"], one, one, mu, f, 40)
         assert rep.passed
         assert 0.54 <= rep.fitted_rate <= 0.60
 
     def test_f_equals_psi1_is_exact(self, two_state):
         mu = Measure.point_mass(two_state["space"], 0)
-        rep = measure_eq1(
-            two_state["P"], two_state["one"], two_state["one"], mu, two_state["one"], 30
-        )
+        one = two_state["one"]
+        rep, _ = measure_eq1_eq2(two_state["P"], two_state["triple"], one, one, mu, one, 30)
         assert np.max(rep.errors) <= 1e-14
         assert rep.passed and rep.fitted_rate == 0.0
 
     def test_left_eigenmeasure_is_exact(self, two_state):
         f = WeightedFunction(two_state["space"], [1.0, 0.0])
-        rep = measure_eq1(
-            two_state["P"], two_state["one"], two_state["one"], two_state["nu_P"], f, 30
+        one = two_state["one"]
+        rep, _ = measure_eq1_eq2(
+            two_state["P"], two_state["triple"], one, one, two_state["nu_P"], f, 30
         )
         assert np.max(rep.errors) <= 1e-13
 
     def test_rejects_undominated_f(self, two_state):
         mu = Measure.point_mass(two_state["space"], 0)
         f = WeightedFunction(two_state["space"], [2.0, 0.0])
+        one = two_state["one"]
         with pytest.raises(ValueError):
-            measure_eq1(two_state["P"], two_state["one"], two_state["one"], mu, f, 10)
+            measure_eq1_eq2(two_state["P"], two_state["triple"], one, one, mu, f, 10)
 
     def test_vanishing_mass_is_irrecoverable(self):
         P = make_operator([[0.0, 1.0], [0.0, 0.0]])  # absorbs into a dead state
@@ -267,19 +320,15 @@ class TestMeasureEq1:
             iterations=1,
         )
         with pytest.raises(NonConvergingMassError):
-            measure_eq1(P, one, one, mu, one, 5, triple=fake)
+            measure_eq1_eq2(P, fake, one, one, mu, one, 5)
 
     def test_rejects_zero_psi2_mass(self, two_state):
         mu = Measure.point_mass(two_state["space"], 0)
         psi2 = WeightedFunction(two_state["space"], [0.0, 1.0])
+        f = WeightedFunction(two_state["space"], [1.0, 0.0])
         with pytest.raises(ValueError):
-            measure_eq1(
-                two_state["P"],
-                two_state["one"],
-                psi2,
-                mu,
-                WeightedFunction(two_state["space"], [1.0, 0.0]),
-                10,
+            measure_eq1_eq2(
+                two_state["P"], two_state["triple"], two_state["one"], psi2, mu, f, 10
             )
 
 
@@ -287,28 +336,42 @@ class TestMeasureEq2:
     def test_two_state_rate(self, two_state):
         mu = Measure.point_mass(two_state["space"], 0)
         f = WeightedFunction(two_state["space"], [1.0, 0.0])
-        rep = measure_eq2(
-            two_state["P"], 0.7, two_state["eta"], two_state["nu_P"],
-            two_state["one"], mu, f, 40,
-        )
+        one = two_state["one"]
+        _, rep = measure_eq1_eq2(two_state["P"], two_state["triple"], one, one, mu, f, 40)
         assert rep.passed
         assert 0.54 <= rep.fitted_rate <= 0.60
 
     def test_left_eigenmeasure_exact(self, two_state):
         f = WeightedFunction(two_state["space"], [0.3, -0.2])
-        rep = measure_eq2(
-            two_state["P"], 0.7, two_state["eta"], two_state["nu_P"],
-            two_state["one"], two_state["nu_P"], f, 30,
+        one = two_state["one"]
+        _, rep = measure_eq1_eq2(
+            two_state["P"], two_state["triple"], one, one, two_state["nu_P"], f, 30
         )
         assert np.max(rep.errors) <= 1e-13
 
     def test_eigenfunction_exact(self, two_state):
         mu = Measure.point_mass(two_state["space"], 0)
-        rep = measure_eq2(
-            two_state["P"], 0.7, two_state["eta"], two_state["nu_P"],
-            two_state["one"], mu, two_state["eta"], 30,
+        one = two_state["one"]
+        _, rep = measure_eq1_eq2(
+            two_state["P"], two_state["triple"], one, one, mu, two_state["eta"], 30
         )
         assert np.max(rep.errors) <= 1e-13
+
+    def test_eq2_is_the_theta0_normalized_semigroup(self, rng):
+        # the walk rescales its masses every step; eq2 must still read the
+        # raw theta0^-n mu P_n f, here taken from explicit matrix powers
+        P = make_operator(random_kernel(rng, 6, 0.1, 3.0))
+        one = WeightedFunction.ones(P.space)
+        t = power_iterate(P, one)
+        mu = Measure(P.space, rng.uniform(0.5, 1.5, 6))
+        f = WeightedFunction(P.space, rng.uniform(-1.0, 1.0, 6))
+        eq1, eq2 = measure_eq1_eq2(P, t, one, one, mu, f, 25)
+        limit = mu.mass(t.eta) * t.nu_P.mass(f)
+        for n in range(26):
+            m = mu.masses @ np.linalg.matrix_power(P.kernel / t.theta0, n)
+            assert abs(eq2.errors[n] - abs(m @ f.values - limit)) <= 1e-12
+            ratio = (m @ f.values) / (m @ one.values)
+            assert abs(eq1.errors[n] - abs(ratio - t.nu_P.mass(f))) <= 1e-12
 
 
 class TestMeasureEq3:
@@ -372,7 +435,8 @@ class TestCsvEmission:
     def test_format(self, two_state):
         mu = Measure.point_mass(two_state["space"], 0)
         f = WeightedFunction(two_state["space"], [1.0, 0.0])
-        rep = measure_eq1(two_state["P"], two_state["one"], two_state["one"], mu, f, 12)
+        one = two_state["one"]
+        rep, _ = measure_eq1_eq2(two_state["P"], two_state["triple"], one, one, mu, f, 12)
         text = rep.to_csv()
         lines = text.split("\n")
         assert lines[0] == "n,error,bound"
@@ -396,7 +460,7 @@ def geometric_family(kernel, space, delta, count):
 
 
 class TestSkeleton:
-    def _family(self, rng, n=8, delta=0.25, count=8):
+    def _family(self, rng, n=8, delta=0.25, count=4):
         space = unit_space(n)
         gen = random_kernel(rng, n, 0.1, 1.0)
         # embed as exp(delta A) powers: use a substochastic kernel directly
@@ -407,7 +471,8 @@ class TestSkeleton:
         family, space = self._family(rng)
         psi1 = WeightedFunction.ones(space)
         t = power_iterate(family[4], psi1)  # operator at t0 = 1.0
-        rep = skeleton_analysis(family, 1.0, psi1)
+        rep = skeleton_analysis(family, psi1)
+        assert rep.t0 == 1.0
         assert rep.consistency_residual <= 1e-12
         assert abs(rep.lambda0 - np.log(t.theta0)) <= 1e-9
         assert np.isfinite(rep.c_bar) and rep.c_under > 0.0
@@ -420,13 +485,13 @@ class TestSkeleton:
         k[0, 0] *= 1.5
         bad[2] = TransferOperator(space, k, step_label=bad[2].step_label)
         with pytest.raises(SemigroupConsistencyError):
-            skeleton_analysis(bad, 1.0, WeightedFunction.ones(space))
+            skeleton_analysis(bad, WeightedFunction.ones(space))
 
     def test_exponential_rescale_shifts_lambda0(self, rng):
         family, space = self._family(rng)
         psi1 = WeightedFunction.ones(space)
         t = power_iterate(family[4], psi1)
-        rep = skeleton_analysis(family, 1.0, psi1)
+        rep = skeleton_analysis(family, psi1)
         c = 0.35
         scaled = [
             TransferOperator(
@@ -435,12 +500,39 @@ class TestSkeleton:
             for op in family
         ]
         t2 = power_iterate(scaled[4], psi1)
-        rep2 = skeleton_analysis(scaled, 1.0, psi1)
+        rep2 = skeleton_analysis(scaled, psi1)
         assert abs(rep2.lambda0 - (rep.lambda0 + c)) <= 1e-9
         assert np.allclose(t2.eta.values, t.eta.values, rtol=1e-9)
         assert np.allclose(t2.nu_P.density, t.nu_P.density, rtol=1e-9)
 
-    def test_missing_t0_rejected(self, rng):
+    def test_family_needs_a_step(self, rng):
         family, space = self._family(rng)
-        with pytest.raises(ValueError):
-            skeleton_analysis(family[:3], 9.0, WeightedFunction.ones(space))
+        with pytest.raises(ValueError, match="family"):
+            skeleton_analysis(family[:1], WeightedFunction.ones(space))
+        with pytest.raises(ValueError, match="family"):
+            skeleton_analysis([], WeightedFunction.ones(space))
+
+    def test_walk_reads_the_family_members(self, rng):
+        # mu P_t0^k P_(i delta) = mu S^(kn+i): the profiles and sandwich
+        # constants from the step S must be those of the members themselves
+        family, space = self._family(rng)
+        psi1 = WeightedFunction(space, rng.uniform(0.5, 2.0, space.size))
+        rep = skeleton_analysis(family, psi1)
+        eta, nu = rep.triple.eta, rep.triple.nu_P
+        mu, f = Measure.uniform(space), half_probe(psi1)
+        limit = mu.mass(eta) * nu.mass(f)
+        e1, e2, ts = [], [], []
+        for k in range(8):
+            base = mu.masses @ np.linalg.matrix_power(family[4].kernel, k)
+            for op in family[:4]:
+                m = base @ op.kernel
+                ts.append(k + op.step_label)
+                e1.append(abs((m @ f.values) / (m @ psi1.values) - nu.mass(f)))
+                e2.append(abs((m @ f.values) / rep.triple.theta0 ** ts[-1] - limit))
+        assert np.array_equal(rep.eq1.index, ts)
+        assert np.allclose(rep.eq1.errors, e1, rtol=1e-9, atol=1e-13)
+        assert np.allclose(rep.eq2.errors, e2, rtol=1e-9, atol=1e-13)
+        ups = [np.max((op.kernel @ psi1.values) / psi1.values) for op in family]
+        downs = [np.min((op.kernel @ eta.values) / eta.values) for op in family]
+        assert abs(rep.c_bar - max(ups)) <= 1e-14 * max(ups)
+        assert abs(rep.c_under - min(downs)) <= 1e-14 * min(downs)
