@@ -45,7 +45,7 @@ from .models import (
     scalar_field,
     vector_field,
 )
-from .reciprocal import ReciprocalInput, ZetaConditionError, certify
+from .reciprocal import ReciprocalInput, certify
 from .spectral import (
     NonConvergingMassError,
     PowerIterationError,
@@ -77,7 +77,6 @@ _ANALYSIS_ERRORS = (
     PowerIterationError,
     SeriesDivergenceError,
     SmallSetSearchError,
-    ZetaConditionError,
     SemigroupConsistencyError,
     NonConvergingMassError,
 )
@@ -108,17 +107,17 @@ def _cfg(cfg, key, default=None, cast=str, required=False):
         raise UsageError(f"config key '{key}' has a bad value {cfg[key]!r}") from err
 
 
-def _int(cfg, key, default, least, override=None):
-    """The integer ``override`` (a flag), else config ``key``; at least ``least``."""
-    value = override if override is not None else _cfg(cfg, key, default, int)
+def _int(cfg, key, default, least):
+    """The integer config ``key``; at least ``least``."""
+    value = _cfg(cfg, key, default, int)
     if value < least:
         raise UsageError(f"{key} must be at least {least}, got {value}")
     return value
 
 
-def _tol(cfg, args, default):
-    """The tolerance from --tol, else config key tol; positive and finite."""
-    tol = args.tol if args.tol is not None else _cfg(cfg, "tol", default, float)
+def _tol(cfg, default):
+    """The tolerance from config key tol; positive and finite."""
+    tol = _cfg(cfg, "tol", default, float)
     if not (math.isfinite(tol) and tol > 0.0):
         raise UsageError(f"tol must be a positive finite number, got {tol}")
     return tol
@@ -137,7 +136,7 @@ def load_operator_bundle(path: Path):
         raise UsageError(f"operator JSON {path} does not parse: {err}") from err
     try:
         op = TransferOperator.from_dict(data)
-    except (KeyError, ValueError, TypeError) as err:
+    except (KeyError, ValueError, TypeError, NonFiniteError) as err:
         raise UsageError(f"malformed operator JSON {path}: {err}") from err
     bundle = {"operator": op}
     for name in ("psi1", "psi2", "psi"):
@@ -178,15 +177,15 @@ def _resolve(cfg, key, config_path):
     return path if path.is_absolute() else config_path.parent / path
 
 
-def cmd_spectral(cfg, args, config_path):
+def cmd_spectral(cfg, config_path):
     bundle = load_operator_bundle(_resolve(cfg, "operator", config_path))
     op = bundle["operator"]
     psi1 = bundle.get("psi1", WeightedFunction.ones(op.space))
     psi2 = bundle.get("psi2", psi1)
     if psi2.values[0] <= 0.0:
         raise UsageError("psi2 must be positive at state 0, where the eq1 probe starts")
-    tol = _tol(cfg, args, 1e-13)
-    n_max = _int(cfg, "n_max", 60, 1, args.n_max)
+    tol = _tol(cfg, 1e-13)
+    n_max = _int(cfg, "n_max", 60, 1)
     triple = power_iterate(op, psi1, tol=tol)
     mu, f = Measure.point_mass(op.space, 0), half_probe(psi1)
     eq1, eq2 = measure_eq1_eq2(op, triple, psi1, psi2, mu, f, n_max)
@@ -202,7 +201,7 @@ def cmd_spectral(cfg, args, config_path):
     return 0, report, files, text
 
 
-def cmd_check_g(cfg, args, config_path):
+def cmd_check_g(cfg, config_path):
     bundle = load_operator_bundle(_resolve(cfg, "operator", config_path))
     op = bundle["operator"]
     psi1 = bundle.get("psi1", WeightedFunction.ones(op.space))
@@ -213,19 +212,19 @@ def cmd_check_g(cfg, args, config_path):
     else:
         K = bundle.get("K", SubsetMask.full(op.space))
     n1 = _int(cfg, "n1", 1, 1)
-    n_max = _int(cfg, "n_max", 100, 1, args.n_max)
+    n_max = _int(cfg, "n_max", 100, 1)
     report_obj = check_condition_g(op, K, psi1, psi2, n1=n1, n3_max=n_max, n4_max=n_max)
     report = {"schema": SCHEMA, "command": "check-g", "g_report": report_obj.to_dict()}
     code = 0 if report_obj.overall else 1
     return code, report, {}, report_obj.render_table()
 
 
-def cmd_reciprocal(cfg, args, config_path):
+def cmd_reciprocal(cfg, config_path):
     bundle = load_operator_bundle(_resolve(cfg, "operator", config_path))
     op = bundle["operator"]
     psi = bundle.get("psi", WeightedFunction.ones(op.space))
-    tol = _tol(cfg, args, 1e-12)
-    n_max = _int(cfg, "n_max", 160, 1, args.n_max)
+    tol = _tol(cfg, 1e-12)
+    n_max = _int(cfg, "n_max", 160, 1)
     triple = power_iterate(op, psi, tol=tol)
     eq3 = measure_eq3(op, triple.theta0, triple.eta, triple.nu_P, psi, n_max)
     inp = ReciprocalInput(
@@ -269,8 +268,6 @@ def pds_from_config(cfg):
         p=_cfg(cfg, "model.p", required=True, cast=float),
         a=_cfg(cfg, "model.a", required=True, cast=float),
         dim=dim,
-        f_label=cfg.get("model.F", ""),
-        g_label=cfg.get("model.G", "const:1"),
     )
     try:
         return PdsModel(**kwargs)
@@ -287,8 +284,6 @@ def diffusion_from_config(cfg):
         grid_n=_cfg(cfg, "grid.n", required=True, cast=int),
         t0=_cfg(cfg, "skeleton.t0", 1.0, float),
         dim=dim,
-        b_label=cfg.get("model.b", ""),
-        r_label=cfg.get("model.r", "const:0"),
     )
     try:
         return DiffusionModel(**kwargs)
@@ -296,7 +291,7 @@ def diffusion_from_config(cfg):
         raise UsageError(f"bad diffusion model: {err}") from err
 
 
-def cmd_model_run(cfg, args, config_path):
+def cmd_model_run(cfg, config_path):
     kind = _cfg(cfg, "model.kind", required=True)
     if kind != "pds":
         raise UsageError(
@@ -304,12 +299,12 @@ def cmd_model_run(cfg, args, config_path):
             "use the skeleton command for diffusion models"
         )
     model = pds_from_config(cfg)
-    n_max = _int(cfg, "n_max", 100, 1, args.n_max)
+    n_max = _int(cfg, "n_max", 100, 1)
     eq_n_max = _int(cfg, "report.n_max", 40, 0)
     n_traj = _cfg(cfg, "mc.n_traj", 0, int)
     if n_traj and n_traj < 100:
         raise UsageError(f"mc.n_traj must be 0 or at least 100, got {n_traj}")
-    seed = args.seed if args.seed is not None else _cfg(cfg, "mc.seed", 0, int)
+    seed = _cfg(cfg, "mc.seed", 0, int)
     if n_traj and not 0 <= seed < 2**128:
         raise UsageError(f"the Monte Carlo seed must lie in 0..2**128 - 1, got {seed}")
     analysis = run_pds_analysis(model, n_g=n_max, eq_n_max=eq_n_max)
@@ -358,7 +353,7 @@ def cmd_model_run(cfg, args, config_path):
     return code, report, files, text
 
 
-def cmd_skeleton(cfg, args, config_path):
+def cmd_skeleton(cfg, config_path):
     kind = _cfg(cfg, "model.kind", required=True)
     if kind != "diffusion":
         raise UsageError(f"skeleton supports model.kind = diffusion (got {kind!r})")
@@ -453,9 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="flat key=value config file")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--n-max", type=int, default=None, dest="n_max")
-    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--quiet", action="store_true")
     return parser
 
@@ -469,25 +461,18 @@ def main(argv=None) -> int:
         cfg = parse_config(config_path)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        code, report, files, text = _COMMANDS[args.command](cfg, args, config_path)
+        code, report, files, text = _COMMANDS[args.command](cfg, config_path)
     except _USAGE_ERRORS as err:
         print(f"rpos: error: {err}", file=sys.stderr)
         return 2
     except _ANALYSIS_ERRORS as err:
         print(f"rpos: analysis failed: {err}", file=sys.stderr)
         return 1
-    seed = args.seed if args.seed is not None else _cfg(cfg, "mc.seed", None, int)
     metadata = {
         "schema": SCHEMA,
         "command": args.command,
         "config_path": str(config_path),
         "config": cfg,
-        "seed": seed,
-        "overrides": {
-            "tol": args.tol,
-            "n_max": args.n_max,
-            "seed": args.seed,
-        },
         "versions": {
             "rpos": __version__,
             "numpy": np.__version__,

@@ -50,13 +50,10 @@ class StateSpace:
         Pairwise distinct coordinates; a flat array is treated as d = 1.
     ref_weights : (n,) array_like
         Quadrature weight attached to each point, all > 0.
-    domain_tag : str
-        Label of the continuum set this grid discretizes.
     """
 
     points: np.ndarray
     ref_weights: np.ndarray
-    domain_tag: str = ""
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)
@@ -91,10 +88,8 @@ class StateSpace:
             return True
         if not isinstance(other, StateSpace):
             return NotImplemented
-        return (
-            self.domain_tag == other.domain_tag
-            and np.array_equal(self.points, other.points)
-            and np.array_equal(self.ref_weights, other.ref_weights)
+        return np.array_equal(self.points, other.points) and np.array_equal(
+            self.ref_weights, other.ref_weights
         )
 
     __hash__ = object.__hash__
@@ -249,11 +244,11 @@ class TransferOperator:
         }
 
     @classmethod
-    def from_dict(cls, data: dict, domain_tag: str = "") -> "TransferOperator":
+    def from_dict(cls, data: dict) -> "TransferOperator":
         for key in ("points", "ref_weights", "kernel"):
             if key not in data:
                 raise KeyError(f"operator JSON is missing field '{key}'")
-        space = StateSpace(data["points"], data["ref_weights"], domain_tag=domain_tag)
+        space = StateSpace(data["points"], data["ref_weights"])
         return cls(space, data["kernel"], step_label=data.get("step_label", 1))
 
 
@@ -329,6 +324,4 @@ def restrict_space(space: StateSpace, member: np.ndarray) -> StateSpace:
     member = np.asarray(member, dtype=bool)
     if not member.any():
         raise ValueError("cannot restrict to an empty subset")
-    return StateSpace(
-        space.points[member], space.ref_weights[member], domain_tag=space.domain_tag
-    )
+    return StateSpace(space.points[member], space.ref_weights[member])

@@ -150,8 +150,6 @@ class PdsModel:
     dim: int = 1
     domain_lo: np.ndarray | None = None
     domain_hi: np.ndarray | None = None
-    f_label: str = ""
-    g_label: str = ""
 
     def __post_init__(self):
         if self.noise_sd <= 0.0:
@@ -220,7 +218,7 @@ def build_pds_kernel(model: PdsModel) -> PdsKernel:
     """
     pts, cell_w = _grid_points(model.grid_lo, model.grid_hi, model.grid_n, model.dim)
     n = pts.shape[0]
-    space = StateSpace(pts, np.full(n, cell_w), domain_tag="pds")
+    space = StateSpace(pts, np.full(n, cell_w))
     Fx = np.asarray(model.F(pts), dtype=float).reshape(n, model.dim)
     sd = model.noise_sd
 
@@ -288,8 +286,6 @@ class DiffusionModel:
     grid_n: int
     t0: float
     dim: int = 1
-    b_label: str = ""
-    r_label: str = ""
 
     def __post_init__(self):
         if self.L <= 0.0 or self.grid_n < 2 or self.t0 <= 0.0:
@@ -310,11 +306,11 @@ def _diffusion_space(model: DiffusionModel) -> StateSpace:
     else:
         xx, yy = np.meshgrid(axis, axis, indexing="ij")
         pts = np.column_stack([xx.ravel(), yy.ravel()])
-    return StateSpace(pts, np.full(pts.shape[0], h**model.dim), domain_tag="diffusion")
+    return StateSpace(pts, np.full(pts.shape[0], h**model.dim))
 
 
-def _assemble_generator(model, space, drift, kill):
-    """Central finite differences for 1/2 Laplacian + drift grad - kill."""
+def _assemble_generator(model, space, drift, kill, name):
+    """Central differences for 1/2 Laplacian + drift grad - kill; errors name the drift."""
     h = model.h
     n_axis = model.grid_n
     pts = space.points
@@ -330,7 +326,7 @@ def _assemble_generator(model, space, drift, kill):
             i = int(bad[0])
             h_ok = 1.0 / np.max(np.abs(drift))
             raise StabilityError(
-                f"off-diagonal rate negative at node {i} (x = {pts[i]}); "
+                f"{name}: off-diagonal rate negative at node {i} (x = {pts[i]}); "
                 f"need h <= {h_ok:.4g}, got h = {h:.4g}"
             )
         stride = n_axis if (model.dim == 2 and d == 0) else 1
@@ -410,6 +406,9 @@ class DiffusionFamily:
     generator: np.ndarray
     family: list
     psi: WeightedFunction
+    #: the shifted-drift generator and the tilt rate a of ``girsanov_check``
+    shifted_generator: np.ndarray
+    a: float
 
     @property
     def at_t0(self) -> TransferOperator:
@@ -426,13 +425,17 @@ def build_diffusion_generator(
     last exactly t0): the identity, then powers of one uniformized
     exponential of the smallest step, so the family satisfies the
     semigroup identity to round-off and every kernel is entrywise
-    nonnegative.
+    nonnegative. The stencil of ``girsanov_check`` is assembled too, before
+    the first exponential, so a mesh too coarse for either fails at once.
     """
     space = _diffusion_space(model)
     pts = space.points
     drift = np.asarray(model.b(pts), dtype=float).reshape(space.size, model.dim)
     r_vals = np.asarray(model.r(pts), dtype=float)
-    A = _assemble_generator(model, space, drift, kill=-r_vals + 0.0)
+    A = _assemble_generator(model, space, drift, -r_vals + 0.0, "drift b")
+    a = model.dim / 2.0 + float(np.max(r_vals + drift.sum(axis=1)))
+    kappa = a - r_vals - model.dim / 2.0 - drift.sum(axis=1)
+    A_bar = _assemble_generator(model, space, drift + 1.0, kappa, "Girsanov drift b + 1")
     times = np.linspace(0.0, model.t0, n_substeps + 1).tolist()
     step = uniformized_exponential(A, times[1])
     powers = islice(orbit(step, step, left=True), n_substeps)
@@ -440,7 +443,7 @@ def build_diffusion_generator(
     for kern, t in zip(powers, times[1:]):
         family.append(TransferOperator(space, kern, step_label=t))
     psi = WeightedFunction(space, np.exp(pts.sum(axis=1)))
-    return DiffusionFamily(model, space, A, family, psi)
+    return DiffusionFamily(model, space, A, family, psi, A_bar, a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -466,18 +469,11 @@ def girsanov_check(family: DiffusionFamily) -> GirsanovReport:
     rate ``kappa = a - r - d/2 - sum_i b_i >= 0``, up to mesh error.
     """
     model = family.model
-    space = family.space
-    pts = space.points
-    drift = np.asarray(model.b(pts), dtype=float).reshape(space.size, model.dim)
-    r_vals = np.asarray(model.r(pts), dtype=float)
-    a = model.dim / 2.0 + float(np.max(r_vals + drift.sum(axis=1)))
-    kappa = a - r_vals - model.dim / 2.0 - drift.sum(axis=1)
-    A_bar = _assemble_generator(model, space, drift + 1.0, kill=kappa)
-    direct = uniformized_exponential(A_bar, model.t0)
-    tilt = tilt_submarkov(family.at_t0, family.psi, c=math.exp(a * model.t0))
-    ones = np.ones(space.size)
+    direct = uniformized_exponential(family.shifted_generator, model.t0)
+    tilt = tilt_submarkov(family.at_t0, family.psi, c=math.exp(family.a * model.t0))
+    ones = np.ones(family.space.size)
     disc = float(np.max(np.abs(tilt.tilted.kernel @ ones - direct @ ones)))
-    return GirsanovReport(discrepancy=disc, a=a, t0=model.t0, h=model.h)
+    return GirsanovReport(discrepancy=disc, a=family.a, t0=model.t0, h=model.h)
 
 
 # ---------------------------------------------------------------------------

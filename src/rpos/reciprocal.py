@@ -166,10 +166,11 @@ def _first_reach(nu_R, R, member):
 def extend_psi1(inp: ReciprocalInput, m: int, lam: float) -> WeightedFunction:
     """Weight psi1 = sum_{k<m} (lam theta0)^-k P_k psi on the full space.
 
-    Equals eta * V0 on the support of eta and satisfies the one-step
-    contraction ``P psi1 <= lam theta0 psi1`` off the support, provided the
-    measured profile satisfies ``zeta_m^(1/m) <= lam`` (checked here; raise
-    and retry with larger m, lambda if it fails).
+    At least eta * V0 on the support of eta, with equality where no path of
+    fewer than m steps leaves it (none returns: P eta = theta0 eta). Off the
+    support ``P psi1 <= lam theta0 psi1`` holds, provided the measured profile
+    satisfies ``zeta_m^(1/m) <= lam`` (checked here; raise and retry with
+    larger m, lambda if it fails).
     """
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lambda must lie in (0, 1), got {lam}")
@@ -338,9 +339,12 @@ def certify(
         if last.passed:
             return last
     if last is None:
-        raise ZetaConditionError(
-            f"zeta_m^(1/m) <= lambda unattainable for any m <= {m_max} "
-            f"(profile length {inp.zeta.size})"
+        return _failed(
+            "zeta",
+            inp,
+            resid,
+            diagnostics=f"zeta_m^(1/m) <= lambda unattainable for any m <= {m_max} "
+            f"(profile length {inp.zeta.size})",
         )
     return last
 

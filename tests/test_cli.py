@@ -79,9 +79,9 @@ class TestSpectralCommand:
             kernel=kernel.tolist(),
         )
         op = write_operator(tmp_path, four)
-        cfg = write_config(tmp_path, f"operator = {op.name}\n")
+        cfg = write_config(tmp_path, f"operator = {op.name}\nn_max = 200\n")
         out = tmp_path / "out"
-        code = run(["spectral", "--n-max", "200", "--config", cfg, "--out", out])
+        code = run(["spectral", "--config", cfg, "--out", out])
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["eq1"]["pass"] is False
@@ -135,6 +135,17 @@ class TestReciprocalCommand:
         assert report["certificate"]["overall"] is True
         assert report["certificate"]["stage"] == "ok"
         assert (out / "eq3.csv").exists()
+
+    def test_short_profile_is_a_negative_answer(self, tmp_path):
+        # zeta_5 is the last measured entry; the back-off starts at m = 8.
+        op = write_operator(tmp_path, TWO_STATE)
+        cfg = write_config(tmp_path, f"operator = {op.name}\nn_max = 5\n")
+        out = tmp_path / "out"
+        code = run(["reciprocal", "--config", cfg, "--out", out])
+        assert code == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["certificate"]["stage"] == "zeta"
+        assert len((out / "eq3.csv").read_text().splitlines()) == 7
 
     def test_overflowing_operator_is_analysis_failure(self, tmp_path, capsys):
         huge = {
@@ -279,8 +290,9 @@ MAP_CFG = (
     "grid.n = 40\ngrid.L = 10\n"
 )
 SKELETON_CFG = "model.kind = diffusion\nmodel.b = affine:1,-1\ngrid.L = 12\n"
+INFINITE_KERNEL = dict(THREE, kernel=[[0.5, np.inf, 0.1], [0.1, 0.6, 0.2], [0.2, 0.2, 0.4]])
 
-#: command with its flags, config text, operator JSON (or None)
+#: command, config text, operator JSON (or None)
 MALFORMED = {
     "noise-sd-zero": ("model-run", MAP_CFG + "noise.sd = 0\n", None),
     "dim-3": ("model-run", MAP_CFG + "model.dim = 3\n", None),
@@ -303,11 +315,15 @@ MALFORMED = {
     "k-index-past-end": ("check-g", "k.indices = 7\n", THREE),
     "k-index-not-a-number": ("check-g", "k.indices = a\n", THREE),
     "k-index-negative": ("check-g", "k.indices = -1\n", THREE),
-    "spectral-n-max-negative": ("spectral --n-max -2", "", THREE),
-    "reciprocal-n-max-negative": ("reciprocal --n-max -3", "", THREE),
-    "check-g-n-max-negative": ("check-g --n-max -1", "", THREE),
-    "tol-zero": ("spectral --tol 0", "", THREE),
-    "model-run-n-max-zero": ("model-run --n-max 0", MAP_CFG, None),
+    "spectral-n-max-negative": ("spectral", "n_max = -2\n", THREE),
+    "reciprocal-n-max-negative": ("reciprocal", "n_max = -3\n", THREE),
+    "check-g-n-max-negative": ("check-g", "n_max = -1\n", THREE),
+    "tol-zero": ("spectral", "tol = 0\n", THREE),
+    "model-run-n-max-zero": ("model-run", MAP_CFG + "n_max = 0\n", None),
+    **{
+        f"{command}-infinite-kernel": (command, "", INFINITE_KERNEL)
+        for command in ("spectral", "check-g", "reciprocal")
+    },
 }
 
 
@@ -317,9 +333,39 @@ def test_malformed_input_is_a_usage_error(tmp_path, capsys, case):
     if operator is not None:
         text = f"operator = {write_operator(tmp_path, operator).name}\n" + text
     cfg = write_config(tmp_path, text)
-    code = run([*command.split(), "--config", cfg, "--out", tmp_path / "o"])
+    code = run([command, "--config", cfg, "--out", tmp_path / "o"])
     assert code == 2
     assert capsys.readouterr().err.startswith("rpos: error: ")
+
+
+@pytest.mark.parametrize("flag", ["--tol", "--n-max", "--seed"])
+def test_override_flags_are_gone(tmp_path, capsys, flag):
+    # tol, n_max and mc.seed are config keys only.
+    cfg = write_config(tmp_path, f"operator = {write_operator(tmp_path, THREE).name}\n")
+    with pytest.raises(SystemExit) as exc:
+        run(["spectral", "--config", cfg, "--out", tmp_path / "o", flag, "5"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+
+
+#: The commands that run no Monte Carlo probe: config text, operator JSON (or None)
+SEEDLESS = {
+    "spectral": ("", THREE),
+    "check-g": ("", THREE),
+    "reciprocal": ("", THREE),
+    "skeleton": (SKELETON_CFG + "grid.n = 200\n", None),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEEDLESS))
+def test_commands_without_monte_carlo_ignore_mc_seed(tmp_path, command):
+    text, operator = SEEDLESS[command]
+    if operator is not None:
+        text = f"operator = {write_operator(tmp_path, operator).name}\n" + text
+    cfg = write_config(tmp_path, text + "mc.seed = x\n")
+    code = run([command, "--config", cfg, "--out", tmp_path / "o", "--quiet"])
+    assert code in (0, 1)
+    assert (tmp_path / "o" / "report.json").exists()
 
 
 #: Per command: the values each documented key accepts, then the values (None:
@@ -403,7 +449,7 @@ def test_small_configs_exit_with_a_code(drawn):
 
 @st.composite
 def _operator_bundles(draw):
-    """Operator JSON on 1-5 states with an optional n1 config line.
+    """Operator JSON on 1-5 states with optional n1 and mc.seed config lines.
 
     Kernels are dense, triangular (reducible), cyclic (periodic), a lazy
     walk (slow gap: power_iterate takes Noda steps) or a Jordan block
@@ -447,7 +493,9 @@ def _operator_bundles(draw):
         if vec is not None:
             data[name] = vec
     n1 = draw(st.none() | st.integers(-1, 3))
-    return data, "" if n1 is None else f"n1 = {n1}\n"
+    seed = draw(st.none() | st.sampled_from(["3", "-1", "x"]))
+    text = "" if n1 is None else f"n1 = {n1}\n"
+    return data, text + ("" if seed is None else f"mc.seed = {seed}\n")
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import rpos.models
 from rpos import (
     DiffusionModel,
     GridCoverageError,
@@ -242,6 +243,23 @@ class TestDiffusion:
             t0=0.1,
         )
         with pytest.raises(StabilityError, match="need h <="):
+            build_diffusion_generator(model)
+
+    def test_girsanov_stencil_fails_before_any_exponential(self, monkeypatch):
+        # h = 6/7 suits the drift b = 0.5 (h <= 2) but not b + 1 (h <= 2/3).
+        model = DiffusionModel(
+            b=vector_field("const:0.5", 1),
+            r=scalar_field("const:0"),
+            L=6.0,
+            grid_n=6,
+            t0=1.0,
+        )
+
+        def no_exponential(A, t):
+            raise AssertionError("exponential taken before both stencils were checked")
+
+        monkeypatch.setattr(rpos.models, "uniformized_exponential", no_exponential)
+        with pytest.raises(StabilityError, match=r"^Girsanov drift b \+ 1: .*need h <= 0.6667"):
             build_diffusion_generator(model)
 
     def test_tilt_is_submarkov(self):

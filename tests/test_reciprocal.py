@@ -287,7 +287,7 @@ class TestCertify:
         assert len(tried) == 3 and cert.m == 32  # m = 8, 16, 32 < len(zeta)
         assert cert.rho == tried[-1]
 
-    def test_undecaying_zeta_raises(self, two_state):
+    def test_undecaying_zeta_fails_at_the_zeta_stage(self, two_state):
         inp = ReciprocalInput(
             P=two_state["P"],
             psi=two_state["one"],
@@ -296,8 +296,11 @@ class TestCertify:
             zeta=np.full(20, 2.0),
             nu_P=two_state["nu_P"],
         )
-        with pytest.raises(ZetaConditionError):
-            certify(inp)
+        cert = certify(inp)
+        assert not cert.passed and cert.stage == "zeta"
+        assert cert.diagnostics == (
+            "zeta_m^(1/m) <= lambda unattainable for any m <= 128 (profile length 20)"
+        )
 
     def test_certificate_serializes(self, two_state):
         inp, _ = reciprocal_input(two_state["P"])
