@@ -41,7 +41,7 @@ class PowerIterationError(RuntimeError):
 
 
 class SemigroupConsistencyError(RuntimeError):
-    """A skeleton family violated P_{s+t} = P_s P_t; names the pair."""
+    """A skeleton family broke the chain P_k = P_delta P_(k-1); names the pair."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -514,19 +514,20 @@ class SkeletonReport:
 
 
 def _consistency_residual(family):
-    """Max relative defect of P_(i+j) = P_i P_j over the family's index pairs."""
-    worst = 0.0
-    worst_pair = None
-    n = len(family) - 1
-    for i in range(1, n):
-        for j in range(1, n - i + 1):
-            lhs = family[i].kernel @ family[j].kernel
-            rhs = family[i + j].kernel
-            denom = max(np.max(np.abs(rhs)), 1e-300)
-            resid = float(np.max(np.abs(lhs - rhs)) / denom)
-            if resid > worst:
-                worst = resid
-                worst_pair = (family[i].step_label, family[j].step_label)
+    """Max relative defect of the chain P_k = P_delta P_(k-1), k = 2..n, and its pair.
+
+    At the times k t0 / n the chain gives every pair law P_(i+j) = P_i P_j.
+    Its left products still see reassociation on a family built as P_(k-1) P_delta.
+    """
+    worst, worst_pair = 0.0, None
+    step = family[1]
+    for prev, op in zip(family[1:-1], family[2:]):
+        lhs = step.kernel @ prev.kernel
+        denom = max(np.max(np.abs(op.kernel)), 1e-300)
+        resid = float(np.max(np.abs(lhs - op.kernel)) / denom)
+        if resid > worst:
+            worst = resid
+            worst_pair = (step.step_label, prev.step_label)
     return worst, worst_pair
 
 
@@ -548,9 +549,10 @@ def skeleton_analysis(family, psi1: WeightedFunction) -> SkeletonReport:
     ``family`` is the list [P_0, P_delta, ..., P_t0] of operators at the
     n + 1 equally spaced times k t0 / n, n >= 1, as
     ``build_diffusion_generator`` returns it: P_0 is the identity and each
-    ``step_label`` is the member's time. The family must satisfy the
-    semigroup identity P_(i+j) = P_i P_j within 1e-8; the eigen triple of
-    P_t0 gives the growth rate ``lambda0 = log(theta0) / t0`` and, as its
+    ``step_label`` is the member's time, k t0 / n to round-off (ValueError
+    names the first that is not). The chain P_k = P_delta P_(k-1) must hold
+    within 1e-8, which at these times is the semigroup law; the eigen triple
+    of P_t0 gives the growth rate ``lambda0 = log(theta0) / t0`` and, as its
     eigenfunction eta, the lower weight psi2. Every member is a power of the
     step S = P_delta, so the sandwich constants bound S^k psi1 / psi1 from
     above and S^k psi2 / psi2 from below for k = 0..n, and the convergence
@@ -560,17 +562,19 @@ def skeleton_analysis(family, psi1: WeightedFunction) -> SkeletonReport:
     if len(family) < 2:
         raise ValueError("family must hold P_0 and at least one later operator")
     space = family[0].space
-    for op in family:
+    n = len(family) - 1
+    t0 = family[-1].step_label
+    for k, op in enumerate(family):
         if op.space is not space and op.space != space:
             raise SpaceMismatchError("family operators live on different spaces")
+        if not abs(op.step_label - k * t0 / n) < ROUNDOFF_REL * t0:  # fails if t0 <= 0
+            raise ValueError(f"family member {k} is at {op.step_label!r}, not {k}/{n} of t0 > 0")
     resid, pair = _consistency_residual(family)
     if resid > _CONSISTENCY_TOL:
         raise SemigroupConsistencyError(
             f"family violates the semigroup law at pair {pair} "
             f"(residual {resid:.3e} > {_CONSISTENCY_TOL:g})"
         )
-    n = len(family) - 1
-    t0 = family[-1].step_label
     triple = power_iterate(family[-1], psi1)
     psi2 = triple.eta
     lambda0 = float(np.log(triple.theta0) / t0)

@@ -23,7 +23,7 @@ from rpos import (
     uniformized_exponential,
     vector_field,
 )
-from rpos.models import ConfigError
+from rpos.models import ConfigError, _halved_exponential
 
 
 def small_pds(**kw):
@@ -301,6 +301,30 @@ class TestDiffusion:
         )
         assert fine.discrepancy < coarse.discrepancy
         assert fine.discrepancy < 0.01
+
+    @pytest.mark.parametrize(
+        "dim, grid_n, L, t0, halvings",
+        [(1, 10, 3.0, 0.5, 0), (1, 400, 12.0, 1.0, 7), (2, 28, 5.0, 1.0, 3)],
+    )
+    def test_girsanov_matches_the_dense_exponential(self, dim, grid_n, L, t0, halvings):
+        # the halved step applied 2^h times to the ones vector stands for the
+        # dense exp(t0 A_bar), which squares that step h times
+        model = DiffusionModel(
+            b=vector_field("affine:1,-1", dim),
+            r=scalar_field("const:0"),
+            L=L,
+            grid_n=grid_n,
+            t0=t0,
+            dim=dim,
+        )
+        fam = build_diffusion_generator(model)
+        assert _halved_exponential(fam.shifted_generator, t0)[1] == halvings
+        rep = girsanov_check(fam)
+        tilt = tilt_submarkov(fam.at_t0, fam.psi, c=np.exp(fam.a * t0))
+        ones = np.ones(fam.space.size)
+        dense = uniformized_exponential(fam.shifted_generator, t0)
+        ref = np.max(np.abs(tilt.tilted.kernel @ ones - dense @ ones))
+        assert abs(rep.discrepancy - ref) <= 1e-9 * ref
 
 
 class TestMonteCarlo:

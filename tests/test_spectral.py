@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from rpos import (
+    DiffusionModel,
     Measure,
     PdsModel,
     PowerIterationError,
     SemigroupConsistencyError,
     TransferOperator,
     WeightedFunction,
+    build_diffusion_generator,
     build_pds_kernel,
     compose,
     measure_eq1_eq2,
@@ -18,7 +20,7 @@ from rpos import (
     vector_field,
 )
 
-from rpos.spectral import _fit_geometric, half_probe
+from rpos.spectral import _consistency_residual, _fit_geometric, half_probe
 
 from conftest import make_operator, perron_oracle, random_kernel, unit_space
 
@@ -449,6 +451,18 @@ class TestCsvEmission:
         assert "\r" not in text
 
 
+def pairwise_residual(family):
+    """Reference: max relative defect of P_(i+j) = P_i P_j over every index pair."""
+    n = len(family) - 1
+    worst = 0.0
+    for i in range(1, n):
+        for j in range(1, n - i + 1):
+            rhs = family[i + j].kernel
+            defect = np.max(np.abs(family[i].kernel @ family[j].kernel - rhs))
+            worst = max(worst, float(defect / np.max(np.abs(rhs))))
+    return worst
+
+
 def geometric_family(kernel, space, delta, count):
     ops = [TransferOperator.identity(space, step_label=0.0)]
     base = TransferOperator(space, kernel, step_label=delta)
@@ -536,3 +550,75 @@ class TestSkeleton:
         downs = [np.min((op.kernel @ eta.values) / eta.values) for op in family]
         assert abs(rep.c_bar - max(ups)) <= 1e-14 * max(ups)
         assert abs(rep.c_under - min(downs)) <= 1e-14 * min(downs)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_chain_sees_each_perturbed_member(self, rng, k):
+        # the chain P_k = P_delta P_(k-1) must notice a defect in P_delta
+        # (which enters every product) and in the last member alike
+        family, space = self._family(rng)
+        bad = list(family)
+        kern = bad[k].kernel.copy()
+        kern[1, 2] *= 1.5
+        bad[k] = TransferOperator(space, kern, step_label=bad[k].step_label)
+        with pytest.raises(SemigroupConsistencyError):
+            skeleton_analysis(bad, WeightedFunction.ones(space))
+
+    @pytest.mark.parametrize("count", [2, 4, 8])
+    def test_chain_matches_pairwise_reference_on_geometric_families(self, rng, count):
+        family, _ = self._family(rng, delta=1.0 / count, count=count)
+        resid, _ = _consistency_residual(family)
+        assert resid <= 1e-12
+        assert abs(resid - pairwise_residual(family)) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "dim, grid_n, L, drift",
+        [(1, 150, 12.0, "affine:1,-1"), (2, 12, 3.0, "affine:0.5,-0.3")],
+    )
+    def test_chain_matches_pairwise_reference_on_diffusion_families(
+        self, dim, grid_n, L, drift
+    ):
+        model = DiffusionModel(
+            b=vector_field(drift, dim),
+            r=scalar_field("const:0"),
+            L=L,
+            grid_n=grid_n,
+            t0=1.0,
+            dim=dim,
+        )
+        family = build_diffusion_generator(model).family
+        assert len(family) == 9  # the 28 pairs of the reference at 8 substeps
+        resid, _ = _consistency_residual(family)
+        assert resid <= 1e-12
+        assert abs(resid - pairwise_residual(family)) <= 1e-13
+
+    def test_mislabeled_family_raises(self, rng):
+        # K^2 at "time 1" would be read as P_t0 and repeat the walk's time index
+        space = unit_space(6)
+        K = random_kernel(rng, 6, 0.1, 1.0)
+        K /= 1.05 * K.sum(axis=1, keepdims=True)
+        family = [
+            TransferOperator.identity(space, step_label=0.0),
+            TransferOperator(space, K, step_label=1.0),
+            TransferOperator(space, K @ K, step_label=1.0),
+        ]
+        with pytest.raises(ValueError, match="family member 1 "):
+            skeleton_analysis(family, WeightedFunction.ones(space))
+
+    def test_nonpositive_horizon_raises(self, rng):
+        family, space = self._family(rng)
+        zero = [TransferOperator(space, op.kernel, step_label=0.0) for op in family]
+        with pytest.raises(ValueError, match="family member 0 "):
+            skeleton_analysis(zero, WeightedFunction.ones(space))
+
+    @pytest.mark.parametrize("t0", [0.5, 1.0])
+    @pytest.mark.parametrize("count", [3, 7, 8])
+    def test_linspace_labels_pass(self, rng, t0, count):
+        family, space = self._family(rng, count=count)
+        labels = np.linspace(0.0, t0, count + 1)
+        relabeled = [
+            TransferOperator(space, op.kernel, step_label=float(t))
+            for op, t in zip(family, labels)
+        ]
+        rep = skeleton_analysis(relabeled, WeightedFunction.ones(space))
+        assert rep.t0 == t0
+        assert np.array_equal(rep.eq1.index[: count], labels[:-1])
