@@ -524,10 +524,11 @@ def mc_feynman_kac(
     endpoint leaves the orthant-box (no boundary-crossing correction, bias
     O(sqrt(substep))), and left-endpoint accumulation of the potential.
 
-    Draws come from a counter-based Philox stream keyed by ``seed`` and
-    indexed by (step, trajectory), so results are bit-identical for fixed
-    (seed, n_traj, horizon, substep); the reduction is numpy's fixed-order
-    pairwise sum.
+    One Philox stream keyed by ``seed`` is read in step-major,
+    trajectory-minor order, and every path draws at every step, alive or
+    not, so results are bit-identical for fixed (seed, n_traj, horizon,
+    substep). Killed paths keep their last state and their weights are never
+    read; the reduction is numpy's fixed-order pairwise sum.
     """
     if n_traj < 100:
         raise ValueError("need at least 100 trajectories")
@@ -554,13 +555,11 @@ def _mc_pds(model, x, steps, f, n_traj, rng):
     weight = np.ones(n_traj)
     alive = np.ones(n_traj, dtype=bool)
     for _ in range(steps):
-        Z = rng.standard_normal((n_traj, model.dim))
         prop = np.asarray(model.F(X), dtype=float).reshape(n_traj, model.dim)
-        prop = prop + model.noise_sd * Z
-        X = np.where(alive[:, None], prop, X)  # dead trajectories stay frozen
+        _freeze_killed(X, prop + model.noise_sd * rng.standard_normal((n_traj, model.dim)), alive)
         alive &= model.in_domain(X)
-        weight = np.where(alive, weight * np.asarray(model.G(X), dtype=float), 0.0)
-    vals = weight * np.where(alive, np.asarray(f(X), dtype=float), 0.0)
+        _freeze_killed(weight, weight * np.asarray(model.G(X), dtype=float), alive)
+    vals = np.where(alive, weight * np.asarray(f(X), dtype=float), 0.0)
     return vals, n_traj - int(alive.sum())
 
 
@@ -569,19 +568,28 @@ def _mc_diffusion(model, x, horizon, f, n_traj, rng, substep):
     dt = horizon / steps
     sqdt = math.sqrt(dt)
     X = np.broadcast_to(np.asarray(x, float).reshape(1, model.dim), (n_traj, model.dim)).copy()
-    log_weight = np.zeros(n_traj)
+    log_weight = np.zeros(n_traj)  # read only where alive
     alive = np.ones(n_traj, dtype=bool)
     for _ in range(steps):
-        log_weight = np.where(
-            alive, log_weight + dt * np.asarray(model.r(X), dtype=float), log_weight
-        )
-        Z = rng.standard_normal((n_traj, model.dim))
-        prop = X + dt * np.asarray(model.b(X), dtype=float).reshape(n_traj, model.dim)
-        prop = prop + sqdt * Z
-        X = np.where(alive[:, None], prop, X)
+        log_weight += dt * np.asarray(model.r(X), dtype=float)
+        prop = dt * np.asarray(model.b(X), dtype=float).reshape(n_traj, model.dim)
+        prop += X  # X + dt b bit for bit: addition commutes
+        prop += sqdt * rng.standard_normal((n_traj, model.dim))
+        _freeze_killed(X, prop, alive)
         alive &= np.all((X > 0.0) & (X <= model.L), axis=1)
+    log_weight[~alive] = 0.0  # unread, and exp must not overflow on it
     vals = np.where(alive, np.exp(log_weight) * np.asarray(f(X), dtype=float), 0.0)
     return vals, n_traj - int(alive.sum())
+
+
+def _freeze_killed(old, new, alive):
+    """Copy ``new`` into ``old`` on alive paths, overwriting ``new``; killed paths stay put."""
+    # Blends the float64 bits through an int64 mask, so unlike np.where no branch reads the
+    # random mask. Both arrays are contiguous, so their int64 reshapes are views.
+    bits, diff = (a.view(np.int64).reshape(alive.size, -1) for a in (old, new))
+    diff ^= bits
+    diff &= np.negative(alive.view(np.int8), dtype=np.int64)[:, None]
+    bits ^= diff
 
 
 # ---------------------------------------------------------------------------

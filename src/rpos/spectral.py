@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -470,7 +470,9 @@ def measure_eq3(
     if np.any(psi.values <= 0.0):
         raise ValueError("psi must be strictly positive")
     target = np.outer(eta.values, nu_P.masses)
-    kernels = islice(orbit(P.kernel, np.eye(P.space.size), theta0), n_max + 1)
+    # K @ I == K bit for bit, so the orbit starts at K / theta0 and skips that product
+    steps = islice(orbit(P.kernel, P.kernel / theta0, theta0), n_max)
+    kernels = chain([np.eye(P.space.size)], steps)
     zeta = np.array(
         [np.max((np.abs(M - target) @ psi.values) / psi.values) for M in kernels]
     )

@@ -26,6 +26,12 @@ from rpos import (
 from rpos.models import ConfigError, _halved_exponential
 
 
+def small_diffusion(b, r, L, dim=1, grid_n=50):
+    return DiffusionModel(
+        b=vector_field(b, dim), r=scalar_field(r), L=L, grid_n=grid_n, t0=1.0, dim=dim
+    )
+
+
 def small_pds(**kw):
     args = dict(
         F=vector_field("linear:0.25", 1),
@@ -382,3 +388,60 @@ class TestMonteCarlo:
         est2 = mc_feynman_kac(model, [1.0], 2.0, one, 5000, seed=6, substep=0.01)
         assert 0.0 < est2.value < est1.value < 1.0
         assert est1.n_killed > 0
+
+    # (value, std_error, n_killed) recorded with np.where selects freezing the
+    # killed paths: any faster loop must reproduce them bit for bit
+    PINNED = {
+        "ou-criterion-9": (0.7756, 0.005900499231271507, 1122),
+        "2d-exp-abs": (0.8860540254823339, 0.02218743346721262, 1647),
+        "boxed-pds": (4.073496764883522, 0.05809329918968174, 419),
+        # paths killed at x = L sit where r = e^6 for the rest of the
+        # horizon: their unread log-weights would overflow exp
+        "killed-at-the-far-face": (5.525401411870145e53, 5.506275522198662e53, 1503),
+    }
+
+    @pytest.mark.parametrize("case", list(PINNED))
+    def test_stream_is_pinned(self, case):
+        one = lambda y: np.ones(y.shape[0])
+        if case == "ou-criterion-9":
+            model = small_diffusion("affine:1,-1", "const:0", 12.0, grid_n=400)
+            args = ([1.0], 1.0, one, 5000, 1234, 0.002)
+        elif case == "2d-exp-abs":
+            model = small_diffusion("affine:1,-1", "exp_abs:0.1", 5.0, dim=2, grid_n=20)
+            f = lambda y: np.exp(-np.linalg.norm(y, axis=1))
+            args = ([1.0, 1.5], 2.0, f, 3000, 77, 0.01)
+        elif case == "boxed-pds":
+            model = small_pds(
+                F=vector_field("linear:0.5", 1), G=scalar_field("exp_abs:0.2"),
+                grid_lo=-2.5, grid_hi=2.5, domain_lo=-2.5, domain_hi=2.5,
+            )
+            f = lambda y: np.exp(0.5 * np.abs(y[:, 0]))
+            args = ([0.5], 6, f, 3000, 11, 0.01)
+        else:
+            model = small_diffusion("affine:0,-1", "exp_abs:0.5", 12.0)
+            args = ([11.95], 4.0, one, 2000, 8, 0.01)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            est = mc_feynman_kac(model, *args)
+        assert (est.value, est.std_error, est.n_killed) == self.PINNED[case]
+
+    @pytest.mark.parametrize("case", ["diffusion-1d", "diffusion-2d", "boxed-pds"])
+    def test_killed_paths_stay_frozen(self, case):
+        # every path leaves the box early; one that wandered on after its death
+        # would overflow the drift's potential (or the map's penalty)
+        one = lambda y: np.ones(y.shape[0])
+        if case == "diffusion-1d":
+            model = small_diffusion("linear:3", "exp_abs:0.1", 12.0)
+            args = ([1.0], 4.0, one, 2000, 5, 0.01)
+        elif case == "diffusion-2d":
+            model = small_diffusion("affine:-2,4", "exp_abs:0.3", 5.0, dim=2, grid_n=20)
+            args = ([1.0, 1.0], 4.0, one, 2000, 6, 0.01)
+        else:
+            model = small_pds(
+                F=vector_field("linear:3", 1), G=scalar_field("exp_abs:1"),
+                grid_lo=-6.0, grid_hi=6.0, domain_lo=-6.0, domain_hi=6.0,
+            )
+            args = ([0.5], 60, one, 2000, 7, 0.01)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            est = mc_feynman_kac(model, *args)
+        assert est.all_killed
+        assert est.value == 0.0 and est.std_error == 0.0

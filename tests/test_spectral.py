@@ -376,6 +376,22 @@ class TestMeasureEq2:
             assert abs(eq1.errors[n] - abs(ratio - t.nu_P.mass(f))) <= 1e-12
 
 
+def boxed_map_kernel(grid_n):
+    model = PdsModel(
+        F=vector_field("linear:0.25", 1),
+        G=scalar_field("const:1"),
+        noise_sd=1.0,
+        grid_n=grid_n,
+        grid_lo=-10.0,
+        grid_hi=10.0,
+        p=2.0,
+        a=2.0,
+        domain_lo=-10.0,
+        domain_hi=10.0,
+    )
+    return build_pds_kernel(model).operator
+
+
 class TestMeasureEq3:
     def test_rank_one_kernel_converges_in_one_step(self, two_state):
         eta, nu = two_state["eta"], two_state["nu_P"]
@@ -404,23 +420,27 @@ class TestMeasureEq3:
     def test_boxed_map_kernel_passes_on_its_plateau(self, grid_n, n_max):
         # zeta reaches the round-off plateau inside the fit window; where on
         # the plateau the horizon ends must not decide the verdict.
-        model = PdsModel(
-            F=vector_field("linear:0.25", 1),
-            G=scalar_field("const:1"),
-            noise_sd=1.0,
-            grid_n=grid_n,
-            grid_lo=-10.0,
-            grid_hi=10.0,
-            p=2.0,
-            a=2.0,
-            domain_lo=-10.0,
-            domain_hi=10.0,
-        )
-        P = build_pds_kernel(model).operator
+        P = boxed_map_kernel(grid_n)
         psi = WeightedFunction.ones(P.space)
         t = power_iterate(P, psi, tol=1e-12)
         rep = measure_eq3(P, t.theta0, t.eta, t.nu_P, psi, n_max)
         assert rep.passed
+
+    @pytest.mark.parametrize("grid_n", [300, 401])
+    def test_profile_equals_the_identity_seeded_orbit(self, grid_n):
+        # the orbit starts at K / theta0: K @ I == K bit for bit, so zeta
+        # keeps every bit of the loop that multiplied the identity first
+        P = boxed_map_kernel(grid_n)
+        psi = WeightedFunction.ones(P.space)
+        t = power_iterate(P, psi, tol=1e-12)
+        rep = measure_eq3(P, t.theta0, t.eta, t.nu_P, psi, 12)
+        target = np.outer(t.eta.values, t.nu_P.masses)
+        M, zeta = np.eye(grid_n), []
+        for _ in range(13):
+            zeta.append(np.max((np.abs(M - target) @ psi.values) / psi.values))
+            M = P.kernel @ M
+            M /= t.theta0
+        assert np.array_equal(rep.errors, zeta)
 
 
 class TestFitGeometric:
