@@ -11,6 +11,7 @@ data is isolated in run-metadata.json).
 from __future__ import annotations
 
 import argparse
+import difflib
 import json
 import math
 import sys
@@ -96,31 +97,70 @@ def parse_config(path: Path) -> dict:
     return cfg
 
 
-def _cfg(cfg, key, default=None, cast=str, required=False):
-    if key not in cfg:
-        if required:
-            raise UsageError(f"config is missing the required key '{key}'")
-        return default
-    try:
-        return cast(cfg[key])
-    except ValueError as err:
-        raise UsageError(f"config key '{key}' has a bad value {cfg[key]!r}") from err
+#: Per command, every config key it reads: (default, type, range test or
+#: None, the type and range in words). A key whose default is None must be set.
+_TEXT = (str, None, "text")
+_INT = (int, None, "an integer")
+_REAL = (float, math.isfinite, "a finite number")
+_COUNT = (int, lambda n: n >= 1, "an integer >= 1")
+_TOL = (float, lambda x: 0.0 < x < math.inf, "a finite number > 0")
+_OPERATOR = {"operator": (None, Path, None, "a path")}
+_GRID = {"model.dim": (1, *_INT), "grid.n": (None, *_INT), "grid.L": (None, *_REAL)}
+_KEYS = {
+    "spectral": {**_OPERATOR, "n_max": (60, *_COUNT), "tol": (1e-13, *_TOL)},
+    "check-g": {**_OPERATOR, "n1": (1, *_COUNT), "n_max": (100, *_COUNT),
+                "k.indices": ("", str, bool, "a nonempty list of state indices")},
+    "reciprocal": {**_OPERATOR, "n_max": (160, *_COUNT), "tol": (1e-12, *_TOL)},
+    "model-run": {
+        "model.kind": (None, str, lambda k: k == "pds", "pds (skeleton runs diffusion models)"),
+        **_GRID,
+        "model.domain": ("all", str, lambda d: d in ("all", "box"), "'all' or 'box'"),
+        "model.F": (None, *_TEXT),
+        "model.G": ("const:1", *_TEXT),
+        "noise.sd": (1.0, *_REAL),
+        "model.p": (None, *_REAL),
+        "model.a": (None, *_REAL),
+        "n_max": (100, *_COUNT),
+        "report.n_max": (40, int, lambda n: n >= 0, "an integer >= 0"),
+        "mc.n_traj": (0, int, lambda n: n == 0 or n >= 100, "0 or an integer >= 100"),
+        "mc.seed": (0, int, lambda s: 0 <= s < 2**128, "an integer in 0..2**128 - 1"),
+    },
+    "skeleton": {
+        "model.kind": (None, str, lambda k: k == "diffusion", "diffusion"),
+        **_GRID,
+        "model.b": (None, *_TEXT),
+        "model.r": ("const:0", *_TEXT),
+        "skeleton.t0": (1.0, *_REAL),
+        "skeleton.substeps": (8, *_COUNT),
+    },
+}
 
 
-def _int(cfg, key, default, least):
-    """The integer config ``key``; at least ``least``."""
-    value = _cfg(cfg, key, default, int)
-    if value < least:
-        raise UsageError(f"{key} must be at least {least}, got {value}")
-    return value
-
-
-def _tol(cfg, default):
-    """The tolerance from config key tol; positive and finite."""
-    tol = _cfg(cfg, "tol", default, float)
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise UsageError(f"tol must be a positive finite number, got {tol}")
-    return tol
+def read_config(command, cfg, config_path):
+    """Every key ``command`` declares, typed, range-checked and defaulted; a
+    path relative to the config file. A key no command declares is an error
+    naming the nearest key of ``command``; one of another command is unread.
+    """
+    keys = _KEYS[command]
+    for key in cfg:
+        if all(key not in table for table in _KEYS.values()):
+            near = difflib.get_close_matches(key, keys, 1, 0.0)[0]
+            raise UsageError(f"unknown config key '{key}' (did you mean '{near}'?)")
+    values = {}
+    for key, (default, cast, test, words) in keys.items():
+        if key not in cfg:
+            if default is None:
+                raise UsageError(f"config is missing the required key '{key}'")
+            values[key] = default
+            continue
+        try:
+            values[key] = config_path.parent / cfg[key] if cast is Path else cast(cfg[key])
+            valid = test is None or test(values[key])
+        except ValueError:
+            valid = False
+        if not valid:
+            raise UsageError(f"config key '{key}' must be {words}, got {cfg[key]!r}")
+    return values
 
 
 def load_operator_bundle(path: Path):
@@ -171,24 +211,16 @@ def _small_set(space, tokens, source: str) -> SubsetMask:
     return SubsetMask.from_indices(space, idx)
 
 
-def _resolve(cfg, key, config_path):
-    rel = _cfg(cfg, key, required=True)
-    path = Path(rel)
-    return path if path.is_absolute() else config_path.parent / path
-
-
-def cmd_spectral(cfg, config_path):
-    bundle = load_operator_bundle(_resolve(cfg, "operator", config_path))
+def cmd_spectral(cfg):
+    bundle = load_operator_bundle(cfg["operator"])
     op = bundle["operator"]
     psi1 = bundle.get("psi1", WeightedFunction.ones(op.space))
     psi2 = bundle.get("psi2", psi1)
     if psi2.values[0] <= 0.0:
         raise UsageError("psi2 must be positive at state 0, where the eq1 probe starts")
-    tol = _tol(cfg, 1e-13)
-    n_max = _int(cfg, "n_max", 60, 1)
-    triple = power_iterate(op, psi1, tol=tol)
+    triple = power_iterate(op, psi1, tol=cfg["tol"])
     mu, f = Measure.point_mass(op.space, 0), half_probe(psi1)
-    eq1, eq2 = measure_eq1_eq2(op, triple, psi1, psi2, mu, f, n_max)
+    eq1, eq2 = measure_eq1_eq2(op, triple, psi1, psi2, mu, f, cfg["n_max"])
     report = {
         "schema": SCHEMA,
         "command": "spectral",
@@ -201,32 +233,28 @@ def cmd_spectral(cfg, config_path):
     return 0, report, files, text
 
 
-def cmd_check_g(cfg, config_path):
-    bundle = load_operator_bundle(_resolve(cfg, "operator", config_path))
+def cmd_check_g(cfg):
+    bundle = load_operator_bundle(cfg["operator"])
     op = bundle["operator"]
     psi1 = bundle.get("psi1", WeightedFunction.ones(op.space))
     psi2 = bundle.get("psi2", psi1)
-    if "k.indices" in cfg:
+    if cfg["k.indices"]:
         tokens = [tok for tok in cfg["k.indices"].split(",") if tok.strip()]
         K = _small_set(op.space, tokens, "config key 'k.indices'")
     else:
         K = bundle.get("K", SubsetMask.full(op.space))
-    n1 = _int(cfg, "n1", 1, 1)
-    n_max = _int(cfg, "n_max", 100, 1)
-    report_obj = check_condition_g(op, K, psi1, psi2, n1=n1, n3_max=n_max, n4_max=n_max)
+    report_obj = check_condition_g(op, K, psi1, psi2, cfg["n1"], cfg["n_max"], cfg["n_max"])
     report = {"schema": SCHEMA, "command": "check-g", "g_report": report_obj.to_dict()}
     code = 0 if report_obj.overall else 1
     return code, report, {}, report_obj.render_table()
 
 
-def cmd_reciprocal(cfg, config_path):
-    bundle = load_operator_bundle(_resolve(cfg, "operator", config_path))
+def cmd_reciprocal(cfg):
+    bundle = load_operator_bundle(cfg["operator"])
     op = bundle["operator"]
     psi = bundle.get("psi", WeightedFunction.ones(op.space))
-    tol = _tol(cfg, 1e-12)
-    n_max = _int(cfg, "n_max", 160, 1)
-    triple = power_iterate(op, psi, tol=tol)
-    eq3 = measure_eq3(op, triple.theta0, triple.eta, triple.nu_P, psi, n_max)
+    triple = power_iterate(op, psi, tol=cfg["tol"])
+    eq3 = measure_eq3(op, triple.theta0, triple.eta, triple.nu_P, psi, cfg["n_max"])
     inp = ReciprocalInput(
         P=op,
         psi=psi,
@@ -249,65 +277,38 @@ def cmd_reciprocal(cfg, config_path):
 
 
 def pds_from_config(cfg):
-    dim = _cfg(cfg, "model.dim", 1, int)
-    L = _cfg(cfg, "grid.L", required=True, cast=float)
-    domain = _cfg(cfg, "model.domain", "all")
-    kwargs = {}
-    if domain == "box":
-        kwargs["domain_lo"] = -L
-        kwargs["domain_hi"] = L
-    elif domain != "all":
-        raise UsageError(f"model.domain must be 'all' or 'box', got {domain!r}")
-    kwargs.update(
-        F=vector_field(_cfg(cfg, "model.F", required=True), dim),
-        G=scalar_field(_cfg(cfg, "model.G", "const:1")),
-        noise_sd=_cfg(cfg, "noise.sd", 1.0, float),
-        grid_n=_cfg(cfg, "grid.n", required=True, cast=int),
+    """The map model of a model-run config as ``read_config`` returns it."""
+    L, dim = cfg["grid.L"], cfg["model.dim"]
+    box = {"domain_lo": -L, "domain_hi": L} if cfg["model.domain"] == "box" else {}
+    return PdsModel(
+        F=vector_field(cfg["model.F"], dim),
+        G=scalar_field(cfg["model.G"]),
+        noise_sd=cfg["noise.sd"],
+        grid_n=cfg["grid.n"],
         grid_lo=-L,
         grid_hi=L,
-        p=_cfg(cfg, "model.p", required=True, cast=float),
-        a=_cfg(cfg, "model.a", required=True, cast=float),
+        p=cfg["model.p"],
+        a=cfg["model.a"],
         dim=dim,
+        **box,
     )
-    try:
-        return PdsModel(**kwargs)
-    except ValueError as err:
-        raise UsageError(f"bad map model: {err}") from err
 
 
 def diffusion_from_config(cfg):
-    dim = _cfg(cfg, "model.dim", 1, int)
-    kwargs = dict(
-        b=vector_field(_cfg(cfg, "model.b", required=True), dim),
-        r=scalar_field(_cfg(cfg, "model.r", "const:0")),
-        L=_cfg(cfg, "grid.L", required=True, cast=float),
-        grid_n=_cfg(cfg, "grid.n", required=True, cast=int),
-        t0=_cfg(cfg, "skeleton.t0", 1.0, float),
-        dim=dim,
+    """The killed diffusion of a skeleton config as ``read_config`` returns it."""
+    return DiffusionModel(
+        b=vector_field(cfg["model.b"], cfg["model.dim"]),
+        r=scalar_field(cfg["model.r"]),
+        L=cfg["grid.L"],
+        grid_n=cfg["grid.n"],
+        t0=cfg["skeleton.t0"],
+        dim=cfg["model.dim"],
     )
-    try:
-        return DiffusionModel(**kwargs)
-    except ValueError as err:
-        raise UsageError(f"bad diffusion model: {err}") from err
 
 
-def cmd_model_run(cfg, config_path):
-    kind = _cfg(cfg, "model.kind", required=True)
-    if kind != "pds":
-        raise UsageError(
-            f"model-run supports model.kind = pds (got {kind!r}); "
-            "use the skeleton command for diffusion models"
-        )
+def cmd_model_run(cfg):
     model = pds_from_config(cfg)
-    n_max = _int(cfg, "n_max", 100, 1)
-    eq_n_max = _int(cfg, "report.n_max", 40, 0)
-    n_traj = _cfg(cfg, "mc.n_traj", 0, int)
-    if n_traj and n_traj < 100:
-        raise UsageError(f"mc.n_traj must be 0 or at least 100, got {n_traj}")
-    seed = _cfg(cfg, "mc.seed", 0, int)
-    if n_traj and not 0 <= seed < 2**128:
-        raise UsageError(f"the Monte Carlo seed must lie in 0..2**128 - 1, got {seed}")
-    analysis = run_pds_analysis(model, n_g=n_max, eq_n_max=eq_n_max)
+    analysis = run_pds_analysis(model, n_g=cfg["n_max"], eq_n_max=cfg["report.n_max"])
     report = {
         "schema": SCHEMA,
         "command": "model-run",
@@ -322,7 +323,7 @@ def cmd_model_run(cfg, config_path):
         "eq1": analysis.eq1.to_dict(),
         "eq2": analysis.eq2.to_dict(),
     }
-    if n_traj:
+    if cfg["mc.n_traj"]:
         op, psi1 = analysis.build.operator, analysis.build.psi1
         i0 = int(np.argmin(np.linalg.norm(op.space.points, axis=1)))
         x0 = op.space.points[i0]
@@ -331,8 +332,8 @@ def cmd_model_run(cfg, config_path):
             x0,
             1,
             lambda y: np.exp(model.a * np.linalg.norm(y, axis=1)),
-            n_traj,
-            seed,
+            cfg["mc.n_traj"],
+            cfg["mc.seed"],
         )
         grid_value = float((op.kernel @ psi1.values)[i0])
         z = (est.value - grid_value) / est.std_error if est.std_error > 0 else 0.0
@@ -353,13 +354,9 @@ def cmd_model_run(cfg, config_path):
     return code, report, files, text
 
 
-def cmd_skeleton(cfg, config_path):
-    kind = _cfg(cfg, "model.kind", required=True)
-    if kind != "diffusion":
-        raise UsageError(f"skeleton supports model.kind = diffusion (got {kind!r})")
+def cmd_skeleton(cfg):
     model = diffusion_from_config(cfg)
-    n_substeps = _int(cfg, "skeleton.substeps", 8, 1)
-    family = build_diffusion_generator(model, n_substeps=n_substeps)
+    family = build_diffusion_generator(model, n_substeps=cfg["skeleton.substeps"])
     sk = skeleton_analysis(family.family, family.psi)
     gir = girsanov_check(family)
     report = {
@@ -459,9 +456,10 @@ def main(argv=None) -> int:
     try:
         config_path = Path(args.config)
         cfg = parse_config(config_path)
+        values = read_config(args.command, cfg, config_path)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        code, report, files, text = _COMMANDS[args.command](cfg, config_path)
+        code, report, files, text = _COMMANDS[args.command](values)
     except _USAGE_ERRORS as err:
         print(f"rpos: error: {err}", file=sys.stderr)
         return 2
@@ -473,6 +471,8 @@ def main(argv=None) -> int:
         "command": args.command,
         "config_path": str(config_path),
         "config": cfg,
+        "keys_read": [key for key in cfg if key in values],
+        "keys_unread": [key for key in cfg if key not in values],
         "versions": {
             "rpos": __version__,
             "numpy": np.__version__,

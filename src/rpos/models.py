@@ -119,8 +119,8 @@ def _floats(tail: str, count: int, spec: str):
         vals = [float(tok) for tok in tail.split(",") if tok.strip() != ""]
     except ValueError as err:
         raise ConfigError(f"bad numeric parameters in '{spec}'") from err
-    if len(vals) != count:
-        raise ConfigError(f"selector '{spec}' needs {count} parameter(s)")
+    if len(vals) != count or not all(map(math.isfinite, vals)):
+        raise ConfigError(f"selector '{spec}' needs {count} finite parameter(s)")
     return vals
 
 
@@ -152,16 +152,16 @@ class PdsModel:
     domain_hi: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.noise_sd <= 0.0:
-            raise ValueError("noise_sd must be positive")
-        if self.p <= 1.0:
-            raise ValueError("p must exceed 1")
-        if self.a <= 0.0 or 1.0 / self.a >= self.p - 1.0:
-            raise ValueError("need a > 0 with 1/a < p - 1")
+        if not self.noise_sd > 0.0:
+            raise ConfigError("noise_sd must be positive")
+        if not self.p > 1.0:
+            raise ConfigError("p must exceed 1")
+        if not (self.a > 0.0 and 1.0 / self.a < self.p - 1.0):
+            raise ConfigError("need a > 0 with 1/a < p - 1")
         if self.dim not in (1, 2):
-            raise ValueError("only dim 1 and 2 are supported")
+            raise ConfigError("only dim 1 and 2 are supported")
         if self.grid_n < 1:
-            raise ValueError("grid_n must be at least 1")
+            raise ConfigError("grid_n must be at least 1")
         for name in ("grid_lo", "grid_hi", "domain_lo", "domain_hi"):
             val = getattr(self, name)
             if val is None:
@@ -170,7 +170,7 @@ class PdsModel:
                 self, name, np.broadcast_to(np.asarray(val, float), (self.dim,)).copy()
             )
         if np.any(self.grid_hi <= self.grid_lo):
-            raise ValueError("grid box must have positive volume")
+            raise ConfigError("grid box must have positive volume")
 
     def in_domain(self, x: np.ndarray) -> np.ndarray:
         """Membership of points (N, d) in the killing-free region."""
@@ -288,10 +288,10 @@ class DiffusionModel:
     dim: int = 1
 
     def __post_init__(self):
-        if self.L <= 0.0 or self.grid_n < 2 or self.t0 <= 0.0:
-            raise ValueError("need L > 0, grid_n >= 2, t0 > 0")
+        if not (0.0 < self.L < math.inf and self.grid_n >= 2 and 0.0 < self.t0 < math.inf):
+            raise ConfigError("need finite L > 0, grid_n >= 2 and finite t0 > 0")
         if self.dim not in (1, 2):
-            raise ValueError("only dim 1 and 2 are supported")
+            raise ConfigError("only dim 1 and 2 are supported")
 
     @property
     def h(self) -> float:
@@ -357,8 +357,8 @@ def uniformized_exponential(A: np.ndarray, t: float) -> np.ndarray:
     squared densely, which preserves entrywise nonnegativity exactly (unlike
     Pade scaling-and-squaring).
     """
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("time must be finite and nonnegative")
     acc, halvings = _halved_exponential(A, t)
     for _ in range(halvings):
         acc = acc @ acc

@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rpos.cli import _dumps, main
+from rpos.cli import _KEYS as DECLARED, _dumps, main
 
 from conftest import make_operator
 
@@ -188,18 +189,19 @@ class TestModelRunCommand:
         assert report["g_report"]["overall"] is True
         assert abs(report["mc_probe"]["z_score"]) <= 4.0
         from rpos import build_pds_kernel
-        from rpos.cli import parse_config, pds_from_config
+        from rpos.cli import parse_config, pds_from_config, read_config
 
-        op = build_pds_kernel(pds_from_config(parse_config(cfg))).operator
+        values = read_config("model-run", parse_config(cfg), cfg)
+        op = build_pds_kernel(pds_from_config(values)).operator
         expected = json.dumps(op.to_dict(), indent=2) + "\n"
         assert (out / "kernel.json").read_bytes() == expected.encode()
         assert (out / "eq1.csv").exists() and (out / "eq2.csv").exists()
 
     def test_domain_box_reaches_the_model(self, tmp_path):
-        from rpos.cli import parse_config, pds_from_config
+        from rpos.cli import parse_config, pds_from_config, read_config
 
         cfg = write_config(tmp_path, self.CFG + "model.domain = box\n")
-        model = pds_from_config(parse_config(cfg))
+        model = pds_from_config(read_config("model-run", parse_config(cfg), cfg))
         assert model.domain_lo is not None
         assert model.domain_lo[0] == -8.0 and model.domain_hi[0] == 8.0
 
@@ -290,6 +292,7 @@ MAP_CFG = (
     "grid.n = 40\ngrid.L = 10\n"
 )
 SKELETON_CFG = "model.kind = diffusion\nmodel.b = affine:1,-1\ngrid.L = 12\n"
+GRID_200 = "grid.n = 200\n"
 INFINITE_KERNEL = dict(THREE, kernel=[[0.5, np.inf, 0.1], [0.1, 0.6, 0.2], [0.2, 0.2, 0.4]])
 
 #: command, config text, operator JSON (or None)
@@ -320,6 +323,16 @@ MALFORMED = {
     "check-g-n-max-negative": ("check-g", "n_max = -1\n", THREE),
     "tol-zero": ("spectral", "tol = 0\n", THREE),
     "model-run-n-max-zero": ("model-run", MAP_CFG + "n_max = 0\n", None),
+    "model-run-grid-L-nan": ("model-run", MAP_CFG.replace("L = 10", "L = nan"), None),
+    "model-run-grid-L-inf": ("model-run", MAP_CFG.replace("L = 10", "L = inf"), None),
+    "skeleton-grid-L-nan": ("skeleton", SKELETON_CFG.replace("L = 12", "L = nan") + GRID_200, None),
+    "skeleton-grid-L-inf": ("skeleton", SKELETON_CFG.replace("L = 12", "L = inf") + GRID_200, None),
+    "skeleton-t0-nan": ("skeleton", SKELETON_CFG + GRID_200 + "skeleton.t0 = nan\n", None),
+    "skeleton-t0-inf": ("skeleton", SKELETON_CFG + GRID_200 + "skeleton.t0 = inf\n", None),
+    "model-p-nan": ("model-run", MAP_CFG.replace("model.p = 2", "model.p = nan"), None),
+    "model-a-nan": ("model-run", MAP_CFG.replace("model.a = 2", "model.a = nan"), None),
+    "noise-sd-nan": ("model-run", MAP_CFG + "noise.sd = nan\n", None),
+    "selector-parameter-nan": ("model-run", MAP_CFG.replace("linear:0.25", "linear:nan"), None),
     **{
         f"{command}-infinite-kernel": (command, "", INFINITE_KERNEL)
         for command in ("spectral", "check-g", "reciprocal")
@@ -346,6 +359,44 @@ def test_override_flags_are_gone(tmp_path, capsys, flag):
         run(["spectral", "--config", cfg, "--out", tmp_path / "o", flag, "5"])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, text, declared",
+    [
+        ("reciprocal", "n-max = 5\n", "n_max"),
+        ("model-run", MAP_CFG + "report.nmax = 5\n", "report.n_max"),
+    ],
+)
+def test_misspelt_key_names_the_declared_key(tmp_path, capsys, command, text, declared):
+    # The old flag's spelling and a dropped underscore used to run the default.
+    if command == "reciprocal":
+        text = f"operator = {write_operator(tmp_path, TWO_STATE).name}\n" + text
+    cfg = write_config(tmp_path, text)
+    code = run([command, "--config", cfg, "--out", tmp_path / "o"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rpos: error: unknown config key") and f"'{declared}'" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_metadata_lists_read_and_unread_keys(tmp_path):
+    op = write_operator(tmp_path, TWO_STATE)
+    cfg = write_config(tmp_path, f"mc.seed = 3\noperator = {op.name}\nn_max = 20\n")
+    assert run(["spectral", "--config", cfg, "--out", tmp_path / "o", "--quiet"]) == 0
+    meta = json.loads((tmp_path / "o" / "run-metadata.json").read_text())
+    assert meta["keys_read"] == ["operator", "n_max"]
+    assert meta["keys_unread"] == ["mc.seed"]
+
+
+def test_readme_names_the_declared_keys_of_each_command():
+    # Each command's bullet in the README's key list names exactly its keys.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    every_key = set().union(*DECLARED.values())
+    for command, keys in DECLARED.items():
+        bullet = re.search(rf"^\* `{command}`[^:]*:(.*?)(?=^\* |^$)", readme, re.M | re.S)
+        named = set(re.findall(r"`([^`]+)`", bullet.group(1))) & every_key
+        assert named == set(keys), command
 
 
 #: The commands that run no Monte Carlo probe: config text, operator JSON (or None)
@@ -394,12 +445,13 @@ MODEL_RUN_KEYS = (
         "model.a": [None, "0.5", "-1"],
         "model.dim": ["3", "0", "x"],
         "model.domain": ["disk"],
-        "noise.sd": ["0", "-1", "x"],
+        "noise.sd": ["0", "-1", "x", "nan"],
         "grid.n": [None, "0", "-3", "x"],
-        "grid.L": [None, "0", "-2", "4"],
+        "grid.L": [None, "0", "-2", "4", "nan", "inf"],
         "report.n_max": ["-1", "x"],
         "mc.n_traj": ["5", "-1", "x"],
         "mc.seed": ["-1", "x"],
+        "report.nmax": ["5"],
     },
 )
 SKELETON_KEYS = (
@@ -419,9 +471,10 @@ SKELETON_KEYS = (
         "model.r": ["x:1"],
         "model.dim": ["3", "x"],
         "grid.n": [None, "1", "0", "x"],
-        "grid.L": [None, "0", "-1", "x"],
-        "skeleton.t0": ["0", "-1", "x"],
+        "grid.L": [None, "0", "-1", "x", "nan", "inf"],
+        "skeleton.t0": ["0", "-1", "x", "nan", "inf"],
         "skeleton.substeps": ["0", "-1", "x"],
+        "skeleton.t": ["1"],
     },
 )
 

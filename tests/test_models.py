@@ -69,6 +69,20 @@ class TestCatalog:
         with pytest.raises(ConfigError):
             vector_field("affine:1", 1)  # needs two parameters
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: vector_field("linear:nan", 1),
+            lambda: vector_field("affine:1,inf", 2),
+            lambda: scalar_field("const:-inf"),
+            lambda: scalar_field("affine_sum:nan,1"),
+        ],
+        ids=["linear-nan", "affine-inf", "const-minus-inf", "affine-sum-nan"],
+    )
+    def test_nonfinite_parameters_rejected(self, build):
+        with pytest.raises(ConfigError, match="finite"):
+            build()
+
 
 class TestPdsKernel:
     def test_conservative_case(self):
@@ -121,6 +135,11 @@ class TestPdsKernel:
             small_pds(p=1.0)
         with pytest.raises(ValueError):
             small_pds(a=0.5, p=2.0)  # needs 1/a < p - 1
+
+    @pytest.mark.parametrize("name", ["noise_sd", "p", "a"])
+    def test_nan_parameters_rejected(self, name):
+        with pytest.raises(ValueError):
+            small_pds(**{name: float("nan")})
 
 
 class TestPdsPipeline:
@@ -212,8 +231,21 @@ class TestUniformization:
         A = -np.eye(4)
         assert np.array_equal(uniformized_exponential(A, 0.0), np.eye(4))
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf")])
+    def test_nonfinite_time_rejected(self, t):
+        # inf halves forever and nan never ends the Poisson series.
+        with pytest.raises(ValueError, match="finite"):
+            uniformized_exponential(-np.eye(4) + 0.5 * np.eye(4, k=1), t)
+
 
 class TestDiffusion:
+    @pytest.mark.parametrize("name", ["L", "t0"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite_box_or_time_rejected(self, name, value):
+        base = dict(b=vector_field("zero", 1), r=scalar_field("const:0"), L=6.0, t0=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            DiffusionModel(grid_n=20, **{**base, name: value})
+
     def test_heat_kernel_absorbs_and_fills(self):
         base = dict(b=vector_field("zero", 1), r=scalar_field("const:0"), t0=0.5)
         fam = build_diffusion_generator(DiffusionModel(L=6.0, grid_n=120, **base))
