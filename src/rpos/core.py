@@ -236,10 +236,12 @@ class TransferOperator:
 
     def to_dict(self) -> dict:
         # Deterministic field order: points, ref_weights, kernel, step_label.
+        # The arrays stay arrays: cli._dumps writes them as json writes their
+        # tolist(); json.dumps itself needs default=np.ndarray.tolist.
         return {
-            "points": self.space.points.tolist(),
-            "ref_weights": self.space.ref_weights.tolist(),
-            "kernel": self.kernel.tolist(),
+            "points": self.space.points,
+            "ref_weights": self.space.ref_weights,
+            "kernel": self.kernel,
             "step_label": self.step_label,
         }
 

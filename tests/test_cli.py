@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rpos.cli import _KEYS as DECLARED, _dumps, main
 
@@ -193,7 +194,7 @@ class TestModelRunCommand:
 
         values = read_config("model-run", parse_config(cfg), cfg)
         op = build_pds_kernel(pds_from_config(values)).operator
-        expected = json.dumps(op.to_dict(), indent=2) + "\n"
+        expected = json.dumps(op.to_dict(), indent=2, default=np.ndarray.tolist) + "\n"
         assert (out / "kernel.json").read_bytes() == expected.encode()
         assert (out / "eq1.csv").exists() and (out / "eq2.csv").exists()
 
@@ -333,6 +334,7 @@ MALFORMED = {
     "model-a-nan": ("model-run", MAP_CFG.replace("model.a = 2", "model.a = nan"), None),
     "noise-sd-nan": ("model-run", MAP_CFG + "noise.sd = nan\n", None),
     "selector-parameter-nan": ("model-run", MAP_CFG.replace("linear:0.25", "linear:nan"), None),
+    "key-given-twice": ("reciprocal", "n_max = 5\nn_max = 80\n", THREE),
     **{
         f"{command}-infinite-kernel": (command, "", INFINITE_KERNEL)
         for command in ("spectral", "check-g", "reciprocal")
@@ -377,6 +379,16 @@ def test_misspelt_key_names_the_declared_key(tmp_path, capsys, command, text, de
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("rpos: error: unknown config key") and f"'{declared}'" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_key_given_twice_names_both_lines(tmp_path, capsys):
+    # The last line used to win silently: this ran n_max = 80 and exited 0.
+    op = write_operator(tmp_path, THREE)
+    cfg = write_config(tmp_path, f"operator = {op.name}\nn_max = 5\n# eq3\nn_max = 80\n")
+    assert run(["reciprocal", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rpos: error: ") and "'n_max' is given twice (lines 2 and 4)" in err
     assert not (tmp_path / "o").exists()
 
 
@@ -590,6 +602,46 @@ _JSON_VALUES = st.recursive(
 @given(_JSON_VALUES)
 def test_dumps_is_json_dumps_with_indent_2(obj):
     assert _dumps(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+# A pool small enough that entries repeat within and across the blocks of
+# rows that share one token table, holding the values json spells specially.
+_ARRAY_POOL = [-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e16,
+               1e-5, 1e-4, 0.1, 1 / 3, -2.5e-300, 123456789.125]
+_ARRAY_SHAPES = st.tuples(st.integers(0, 150)) | st.tuples(
+    st.integers(0, 150), st.integers(0, 4)
+)
+_FLOAT_ARRAYS = _ARRAY_SHAPES.flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.sampled_from(_ARRAY_POOL))
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.recursive(
+    _FLOAT_ARRAYS | _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=6,
+))
+def test_dumps_writes_float_arrays_as_their_lists(obj):
+    # A bool: pytest would diff the two texts at every failing call, which
+    # takes minutes on kernel-sized strings.
+    same = _dumps(obj) == json.dumps(obj, indent=2, default=np.ndarray.tolist) + "\n"
+    assert same
+
+
+@pytest.mark.parametrize("dim, grid_n", [(1, 200), (2, 15)])
+def test_kernel_json_without_repeats_is_json_dumps(dim, grid_n):
+    # At slope 0.2467 far fewer entries repeat than at 0.25 (85 % and 39 %
+    # distinct here), so both the list fallback and the token table run.
+    from rpos import build_pds_kernel
+    from rpos.models import PdsModel, scalar_field, vector_field
+
+    model = PdsModel(F=vector_field("linear:0.2467", dim), G=scalar_field("const:1"),
+                     noise_sd=1.0, grid_n=grid_n, grid_lo=-10.0, grid_hi=10.0,
+                     p=2.0, a=2.0, dim=dim)
+    data = build_pds_kernel(model).operator.to_dict()
+    same = _dumps(data) == json.dumps(data, indent=2, default=np.ndarray.tolist) + "\n"
+    assert same  # a bool, as above
 
 
 def test_dumps_keeps_json_key_rules():

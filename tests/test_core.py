@@ -255,7 +255,7 @@ class TestSerialization:
     def test_round_trip_and_field_order(self, two_state):
         d = two_state["P"].to_dict()
         assert list(d.keys()) == ["points", "ref_weights", "kernel", "step_label"]
-        back = TransferOperator.from_dict(json.loads(json.dumps(d)))
+        back = TransferOperator.from_dict(json.loads(json.dumps(d, default=np.ndarray.tolist)))
         assert np.array_equal(back.kernel, two_state["P"].kernel)
         assert back.space == two_state["P"].space
         assert back.step_label == two_state["P"].step_label
