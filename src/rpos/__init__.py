@@ -69,7 +69,6 @@ from .reciprocal import (
 from .spectral import (
     ConvergenceReport,
     PowerIterationError,
-    SemigroupConsistencyError,
     SkeletonReport,
     SpectralTriple,
     measure_eq1_eq2,

@@ -50,7 +50,6 @@ from .reciprocal import ReciprocalInput, certify
 from .spectral import (
     NonConvergingMassError,
     PowerIterationError,
-    SemigroupConsistencyError,
     half_probe,
     measure_eq1_eq2,
     measure_eq3,
@@ -78,7 +77,6 @@ _ANALYSIS_ERRORS = (
     PowerIterationError,
     SeriesDivergenceError,
     SmallSetSearchError,
-    SemigroupConsistencyError,
     NonConvergingMassError,
 )
 
@@ -363,9 +361,9 @@ def cmd_model_run(cfg):
 
 def cmd_skeleton(cfg):
     model = diffusion_from_config(cfg)
-    family = build_diffusion_generator(model, n_substeps=cfg["skeleton.substeps"])
-    sk = skeleton_analysis(family.family, family.psi)
-    gir = girsanov_check(family)
+    fam = build_diffusion_generator(model, n_substeps=cfg["skeleton.substeps"])
+    sk = skeleton_analysis(fam.step, fam.at_t0, fam.n_substeps, fam.psi)
+    gir = girsanov_check(fam)
     report = {
         "schema": SCHEMA,
         "command": "skeleton",

@@ -402,34 +402,33 @@ def _halved_exponential(A: np.ndarray, t: float) -> tuple[np.ndarray, int]:
 
 @dataclass(frozen=True, eq=False)
 class DiffusionFamily:
-    """Skeleton operators of the discretized killed diffusion."""
+    """The skeleton of the discretized killed diffusion: its step and P_t0."""
 
     model: DiffusionModel
     space: StateSpace
     generator: np.ndarray
-    family: list
+    #: S = P_delta at delta = t0 / n_substeps, and P_t0 = S^n_substeps
+    step: TransferOperator
+    at_t0: TransferOperator
+    n_substeps: int
     psi: WeightedFunction
     #: the shifted-drift generator and the tilt rate a of ``girsanov_check``
     shifted_generator: np.ndarray
     a: float
 
-    @property
-    def at_t0(self) -> TransferOperator:
-        return self.family[-1]
-
 
 def build_diffusion_generator(
     model: DiffusionModel, n_substeps: int = 8
 ) -> DiffusionFamily:
-    """Discretize the generator and exponentiate it to a skeleton family.
+    """Discretize the generator and exponentiate it to a skeleton step.
 
-    Returns the operators [P_0, P_delta, ..., P_t0] at the times
-    k t0 / n_substeps, k = 0..n_substeps, each labeled with its time (the
-    last exactly t0): the identity, then powers of one uniformized
-    exponential of the smallest step, so the family satisfies the
-    semigroup identity to round-off and every kernel is entrywise
-    nonnegative. The stencil of ``girsanov_check`` is assembled too, before
-    the first exponential, so a mesh too coarse for either fails at once.
+    The step S = P_delta is one uniformized exponential at delta =
+    t0 / n_substeps, labeled with that time, and P_t0 = S^n_substeps, labeled
+    t0, is its power by binary powering (floor(log2 n) + popcount(n) - 1
+    dense products), so both satisfy the semigroup identity to round-off and
+    are entrywise nonnegative. The stencil of ``girsanov_check`` is assembled
+    too, before the exponential, so a mesh too coarse for either fails at
+    once.
     """
     space = _diffusion_space(model)
     pts = space.points
@@ -440,13 +439,12 @@ def build_diffusion_generator(
     kappa = a - r_vals - model.dim / 2.0 - drift.sum(axis=1)
     A_bar = _assemble_generator(model, space, drift + 1.0, kappa, "Girsanov drift b + 1")
     times = np.linspace(0.0, model.t0, n_substeps + 1).tolist()
-    step = uniformized_exponential(A, times[1])
-    powers = islice(orbit(step, step, left=True), n_substeps)
-    family = [TransferOperator.identity(space, step_label=0.0)]
-    for kern, t in zip(powers, times[1:]):
-        family.append(TransferOperator(space, kern, step_label=t))
+    step = TransferOperator(space, uniformized_exponential(A, times[1]), step_label=times[1])
+    at_t0 = TransferOperator(
+        space, np.linalg.matrix_power(step.kernel, n_substeps), step_label=times[-1]
+    )
     psi = WeightedFunction(space, np.exp(pts.sum(axis=1)))
-    return DiffusionFamily(model, space, A, family, psi, A_bar, a)
+    return DiffusionFamily(model, space, A, step, at_t0, n_substeps, psi, A_bar, a)
 
 
 @dataclass(frozen=True, eq=False)

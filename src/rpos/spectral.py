@@ -11,8 +11,8 @@ ratio profile of eq1 and the theta0-normalized profile of eq2;
 ``measure_eq3`` evolves the whole normalized kernel for the uniform eq3
 profile. Each fits a geometric envelope in ``_fit_geometric``, the one
 place a verdict is decided. ``skeleton_analysis`` assembles the
-continuous-time conclusions from the family [P_0, P_delta, ..., P_t0] of a
-semigroup, walking the same eq1/eq2 masses under the step P_delta.
+continuous-time conclusions from a semigroup's step P_delta and its n-th
+power P_t0, walking the same eq1/eq2 masses under the step.
 """
 
 from __future__ import annotations
@@ -38,10 +38,6 @@ class PowerIterationError(RuntimeError):
     def __init__(self, message: str, history: np.ndarray):
         super().__init__(message)
         self.history = history
-
-
-class SemigroupConsistencyError(RuntimeError):
-    """A skeleton family broke the chain P_k = P_delta P_(k-1); names the pair."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -481,7 +477,7 @@ def measure_eq3(
 
 @dataclass(frozen=True, eq=False)
 class SkeletonReport:
-    """Continuous-time conclusions assembled from a skeleton family."""
+    """Continuous-time conclusions assembled from a skeleton step and P_t0."""
 
     lambda0: float
     c_bar: float
@@ -489,7 +485,6 @@ class SkeletonReport:
     triple: SpectralTriple
     eq1: ConvergenceReport
     eq2: ConvergenceReport
-    consistency_residual: float
     t0: float
 
     @property
@@ -507,30 +502,11 @@ class SkeletonReport:
             "c_bar": self.c_bar,
             "c_under": self.c_under,
             "t0": self.t0,
-            "consistency_residual": self.consistency_residual,
             "triple": self.triple.to_dict(),
             "eq1cont": self.eq1.to_dict(),
             "eq2cont": self.eq2.to_dict(),
             "pass": self.passed,
         }
-
-
-def _consistency_residual(family):
-    """Max relative defect of the chain P_k = P_delta P_(k-1), k = 2..n, and its pair.
-
-    At the times k t0 / n the chain gives every pair law P_(i+j) = P_i P_j.
-    Its left products still see reassociation on a family built as P_(k-1) P_delta.
-    """
-    worst, worst_pair = 0.0, None
-    step = family[1]
-    for prev, op in zip(family[1:-1], family[2:]):
-        lhs = step.kernel @ prev.kernel
-        denom = max(np.max(np.abs(op.kernel)), 1e-300)
-        resid = float(np.max(np.abs(lhs - op.kernel)) / denom)
-        if resid > worst:
-            worst = resid
-            worst_pair = (step.step_label, prev.step_label)
-    return worst, worst_pair
 
 
 def half_probe(psi1: WeightedFunction) -> WeightedFunction:
@@ -542,46 +518,36 @@ def half_probe(psi1: WeightedFunction) -> WeightedFunction:
 
 
 _SKELETON_PERIODS = 8
-_CONSISTENCY_TOL = 1e-8
 
 
-def skeleton_analysis(family, psi1: WeightedFunction) -> SkeletonReport:
-    """Continuous-time analysis of a semigroup from its skeleton operators.
+def skeleton_analysis(
+    step: TransferOperator, at_t0: TransferOperator, n: int, psi1: WeightedFunction
+) -> SkeletonReport:
+    """Continuous-time analysis of a semigroup from its skeleton step.
 
-    ``family`` is the list [P_0, P_delta, ..., P_t0] of operators at the
-    n + 1 equally spaced times k t0 / n, n >= 1, as
-    ``build_diffusion_generator`` returns it: P_0 is the identity and each
-    ``step_label`` is the member's time, k t0 / n to round-off (ValueError
-    names the first that is not). The chain P_k = P_delta P_(k-1) must hold
-    within 1e-8, which at these times is the semigroup law; the eigen triple
-    of P_t0 gives the growth rate ``lambda0 = log(theta0) / t0`` and, as its
-    eigenfunction eta, the lower weight psi2. Every member is a power of the
-    step S = P_delta, so the sandwich constants bound S^k psi1 / psi1 from
-    above and S^k psi2 / psi2 from below for k = 0..n, and the convergence
-    profiles walk mu S^k at rate theta0^(1/n) for 8 periods, from the
-    uniform measure with test function ``half_probe(psi1)``.
+    ``step`` is S = P_delta and ``at_t0`` is P_t0 = S^n, n >= 1, as
+    ``build_diffusion_generator`` returns them; t0 > 0 is ``at_t0``'s
+    ``step_label`` and the skeleton times are ``linspace(0, t0, n + 1)``.
+    The eigen triple of P_t0 gives the growth rate ``lambda0 = log(theta0) /
+    t0`` and, as its eigenfunction eta, the lower weight psi2. The sandwich
+    constants bound S^k psi1 / psi1 from above and S^k psi2 / psi2 from below
+    for k = 0..n, and the convergence profiles walk mu S^k at rate
+    theta0^(1/n) for 8 periods, from the uniform measure with test function
+    ``half_probe(psi1)``.
     """
-    if len(family) < 2:
-        raise ValueError("family must hold P_0 and at least one later operator")
-    space = family[0].space
-    n = len(family) - 1
-    t0 = family[-1].step_label
-    for k, op in enumerate(family):
-        if op.space is not space and op.space != space:
-            raise SpaceMismatchError("family operators live on different spaces")
-        if not abs(op.step_label - k * t0 / n) < ROUNDOFF_REL * t0:  # fails if t0 <= 0
-            raise ValueError(f"family member {k} is at {op.step_label!r}, not {k}/{n} of t0 > 0")
-    resid, pair = _consistency_residual(family)
-    if resid > _CONSISTENCY_TOL:
-        raise SemigroupConsistencyError(
-            f"family violates the semigroup law at pair {pair} "
-            f"(residual {resid:.3e} > {_CONSISTENCY_TOL:g})"
-        )
-    triple = power_iterate(family[-1], psi1)
+    space = step.space
+    if at_t0.space is not space and at_t0.space != space:
+        raise SpaceMismatchError("step and P_t0 live on different spaces")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    t0 = at_t0.step_label
+    if not 0.0 < t0 < np.inf:
+        raise ValueError(f"P_t0 is at {t0!r}, not a finite t0 > 0")
+    triple = power_iterate(at_t0, psi1)
     psi2 = triple.eta
     lambda0 = float(np.log(triple.theta0) / t0)
 
-    S = family[1].kernel
+    S = step.kernel
     pos2 = psi2.values > 0.0
     c_bar, c_under = 0.0, np.inf
     sandwich = zip(orbit(S, psi1.values), orbit(S, psi2.values))
@@ -593,7 +559,7 @@ def skeleton_analysis(family, psi1: WeightedFunction) -> SkeletonReport:
     f = half_probe(psi1)
     rate = triple.theta0 ** (1.0 / n)
     e1, e2 = _eq1_eq2_walk(S, rate, triple, psi1, mu, f, _SKELETON_PERIODS * n)
-    labels = np.array([op.step_label for op in family[:-1]], dtype=float)
+    labels = np.linspace(0.0, t0, n + 1)[:-1]
     ts = (t0 * np.arange(_SKELETON_PERIODS)[:, None] + labels).ravel()
     scale1 = mu.mass(psi1) / max(mu.mass(psi2), 1e-300)
     return SkeletonReport(
@@ -603,6 +569,5 @@ def skeleton_analysis(family, psi1: WeightedFunction) -> SkeletonReport:
         triple=triple,
         eq1=_fit_geometric("eq1cont", ts, e1, scale1),
         eq2=_fit_geometric("eq2cont", ts, e2, mu.mass(psi1)),
-        consistency_residual=resid,
         t0=t0,
     )

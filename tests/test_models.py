@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -267,10 +269,52 @@ class TestDiffusion:
             t0=1.0,
         )
         fam = build_diffusion_generator(model, n_substeps=8)
-        rep = skeleton_analysis(fam.family, fam.psi)
-        assert rep.consistency_residual <= 1e-12
+        rep = skeleton_analysis(fam.step, fam.at_t0, fam.n_substeps, fam.psi)
         assert rep.passed
         assert rep.lambda0 < 0.0  # killing at the origin boundary
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize(
+        "dim, grid_n, L, drift",
+        [(1, 150, 12.0, "affine:1,-1"), (2, 12, 3.0, "affine:0.5,-0.3")],
+    )
+    def test_p_t0_is_the_step_to_the_nth(self, dim, grid_n, L, drift, n):
+        # odd n takes matrix_power's multiply branch as well as its squarings
+        model = DiffusionModel(
+            b=vector_field(drift, dim),
+            r=scalar_field("const:0"),
+            L=L,
+            grid_n=grid_n,
+            t0=1.0,
+            dim=dim,
+        )
+        fam = build_diffusion_generator(model, n_substeps=n)
+        assert fam.n_substeps == n
+        assert fam.step.step_label == np.linspace(0.0, 1.0, n + 1)[1]
+        assert fam.at_t0.step_label == 1.0
+        oracle = scipy.linalg.expm(model.t0 * fam.generator)
+        assert np.max(np.abs(fam.at_t0.kernel - oracle)) <= 1e-10
+        chain = fam.step.kernel
+        for _ in range(n - 1):
+            chain = chain @ fam.step.kernel
+        peak = np.max(np.abs(chain))
+        assert np.max(np.abs(fam.at_t0.kernel - chain)) <= 1e-12 * peak
+
+    def test_skeleton_memory_does_not_grow_with_substeps(self):
+        # only S and P_t0 are kept: a list of all 65 members would hold
+        # 65 N^2 floats, far above this bound
+        model = small_diffusion("affine:1,-1", "const:0", 12.0, grid_n=200)
+        nbytes = model.grid_n**2 * 8
+        # the exponential imports scipy.sparse lazily: ~1.4 MB not to be counted
+        build_diffusion_generator(small_diffusion("zero", "const:0", 6.0, grid_n=10))
+        tracemalloc.start()
+        try:
+            fam = build_diffusion_generator(model, n_substeps=64)
+            skeleton_analysis(fam.step, fam.at_t0, fam.n_substeps, fam.psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * nbytes, f"peak {peak / nbytes:.1f} N^2 floats"
 
     def test_mesh_stability_guard(self):
         model = DiffusionModel(

@@ -2,16 +2,13 @@ import numpy as np
 import pytest
 
 from rpos import (
-    DiffusionModel,
     Measure,
     PdsModel,
     PowerIterationError,
-    SemigroupConsistencyError,
+    SpaceMismatchError,
     TransferOperator,
     WeightedFunction,
-    build_diffusion_generator,
     build_pds_kernel,
-    compose,
     measure_eq1_eq2,
     measure_eq3,
     power_iterate,
@@ -20,7 +17,7 @@ from rpos import (
     vector_field,
 )
 
-from rpos.spectral import _consistency_residual, _fit_geometric, half_probe
+from rpos.spectral import _fit_geometric, half_probe
 
 from conftest import make_operator, perron_oracle, random_kernel, unit_space
 
@@ -471,174 +468,103 @@ class TestCsvEmission:
         assert "\r" not in text
 
 
-def pairwise_residual(family):
-    """Reference: max relative defect of P_(i+j) = P_i P_j over every index pair."""
-    n = len(family) - 1
-    worst = 0.0
-    for i in range(1, n):
-        for j in range(1, n - i + 1):
-            rhs = family[i + j].kernel
-            defect = np.max(np.abs(family[i].kernel @ family[j].kernel - rhs))
-            worst = max(worst, float(defect / np.max(np.abs(rhs))))
-    return worst
-
-
-def geometric_family(kernel, space, delta, count):
-    ops = [TransferOperator.identity(space, step_label=0.0)]
-    base = TransferOperator(space, kernel, step_label=delta)
-    cur = base
-    for _ in range(count):
-        ops.append(cur)
-        cur = compose(cur, base)
-    return ops
-
-
 class TestSkeleton:
-    def _family(self, rng, n=8, delta=0.25, count=4):
+    def _skeleton(self, rng, n=8, delta=0.25, count=4):
         space = unit_space(n)
         gen = random_kernel(rng, n, 0.1, 1.0)
-        # embed as exp(delta A) powers: use a substochastic kernel directly
+        # a substochastic kernel stands for the step exp(delta A)
         K = gen / (1.05 * gen.sum(axis=1, keepdims=True))
-        return geometric_family(K, space, delta, count), space
+        step = TransferOperator(space, K, step_label=delta)
+        at_t0 = TransferOperator(
+            space, np.linalg.matrix_power(K, count), step_label=delta * count
+        )
+        return step, at_t0, space
 
     def test_consistency_and_lambda0(self, rng):
-        family, space = self._family(rng)
+        step, at_t0, space = self._skeleton(rng)
         psi1 = WeightedFunction.ones(space)
-        t = power_iterate(family[4], psi1)  # operator at t0 = 1.0
-        rep = skeleton_analysis(family, psi1)
+        t = power_iterate(at_t0, psi1)  # operator at t0 = 1.0
+        rep = skeleton_analysis(step, at_t0, 4, psi1)
         assert rep.t0 == 1.0
-        assert rep.consistency_residual <= 1e-12
         assert abs(rep.lambda0 - np.log(t.theta0)) <= 1e-9
         assert np.isfinite(rep.c_bar) and rep.c_under > 0.0
         assert rep.passed
-
-    def test_inconsistent_family_raises(self, rng):
-        family, space = self._family(rng)
-        bad = list(family)
-        k = bad[2].kernel.copy()
-        k[0, 0] *= 1.5
-        bad[2] = TransferOperator(space, k, step_label=bad[2].step_label)
-        with pytest.raises(SemigroupConsistencyError):
-            skeleton_analysis(bad, WeightedFunction.ones(space))
+        assert "consistency_residual" not in rep.to_dict()
 
     def test_exponential_rescale_shifts_lambda0(self, rng):
-        family, space = self._family(rng)
+        step, at_t0, space = self._skeleton(rng)
         psi1 = WeightedFunction.ones(space)
-        t = power_iterate(family[4], psi1)
-        rep = skeleton_analysis(family, psi1)
+        t = power_iterate(at_t0, psi1)
+        rep = skeleton_analysis(step, at_t0, 4, psi1)
         c = 0.35
-        scaled = [
+        scaled_step, scaled_t0 = (
             TransferOperator(
                 space, np.exp(c * op.step_label) * op.kernel, step_label=op.step_label
             )
-            for op in family
-        ]
-        t2 = power_iterate(scaled[4], psi1)
-        rep2 = skeleton_analysis(scaled, psi1)
+            for op in (step, at_t0)
+        )
+        t2 = power_iterate(scaled_t0, psi1)
+        rep2 = skeleton_analysis(scaled_step, scaled_t0, 4, psi1)
         assert abs(rep2.lambda0 - (rep.lambda0 + c)) <= 1e-9
         assert np.allclose(t2.eta.values, t.eta.values, rtol=1e-9)
         assert np.allclose(t2.nu_P.density, t.nu_P.density, rtol=1e-9)
 
-    def test_family_needs_a_step(self, rng):
-        family, space = self._family(rng)
-        with pytest.raises(ValueError, match="family"):
-            skeleton_analysis(family[:1], WeightedFunction.ones(space))
-        with pytest.raises(ValueError, match="family"):
-            skeleton_analysis([], WeightedFunction.ones(space))
-
     def test_walk_reads_the_family_members(self, rng):
         # mu P_t0^k P_(i delta) = mu S^(kn+i): the profiles and sandwich
-        # constants from the step S must be those of the members themselves
-        family, space = self._family(rng)
+        # constants from the step S must be those of the members S^i themselves
+        step, at_t0, space = self._skeleton(rng)
+        members = [np.linalg.matrix_power(step.kernel, i) for i in range(5)]
         psi1 = WeightedFunction(space, rng.uniform(0.5, 2.0, space.size))
-        rep = skeleton_analysis(family, psi1)
+        rep = skeleton_analysis(step, at_t0, 4, psi1)
         eta, nu = rep.triple.eta, rep.triple.nu_P
         mu, f = Measure.uniform(space), half_probe(psi1)
         limit = mu.mass(eta) * nu.mass(f)
         e1, e2, ts = [], [], []
         for k in range(8):
-            base = mu.masses @ np.linalg.matrix_power(family[4].kernel, k)
-            for op in family[:4]:
-                m = base @ op.kernel
-                ts.append(k + op.step_label)
+            base = mu.masses @ np.linalg.matrix_power(members[4], k)
+            for i, kern in enumerate(members[:4]):
+                m = base @ kern
+                ts.append(k + 0.25 * i)
                 e1.append(abs((m @ f.values) / (m @ psi1.values) - nu.mass(f)))
                 e2.append(abs((m @ f.values) / rep.triple.theta0 ** ts[-1] - limit))
         assert np.array_equal(rep.eq1.index, ts)
         assert np.allclose(rep.eq1.errors, e1, rtol=1e-9, atol=1e-13)
         assert np.allclose(rep.eq2.errors, e2, rtol=1e-9, atol=1e-13)
-        ups = [np.max((op.kernel @ psi1.values) / psi1.values) for op in family]
-        downs = [np.min((op.kernel @ eta.values) / eta.values) for op in family]
+        ups = [np.max((kern @ psi1.values) / psi1.values) for kern in members]
+        downs = [np.min((kern @ eta.values) / eta.values) for kern in members]
         assert abs(rep.c_bar - max(ups)) <= 1e-14 * max(ups)
         assert abs(rep.c_under - min(downs)) <= 1e-14 * min(downs)
-
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_chain_sees_each_perturbed_member(self, rng, k):
-        # the chain P_k = P_delta P_(k-1) must notice a defect in P_delta
-        # (which enters every product) and in the last member alike
-        family, space = self._family(rng)
-        bad = list(family)
-        kern = bad[k].kernel.copy()
-        kern[1, 2] *= 1.5
-        bad[k] = TransferOperator(space, kern, step_label=bad[k].step_label)
-        with pytest.raises(SemigroupConsistencyError):
-            skeleton_analysis(bad, WeightedFunction.ones(space))
-
-    @pytest.mark.parametrize("count", [2, 4, 8])
-    def test_chain_matches_pairwise_reference_on_geometric_families(self, rng, count):
-        family, _ = self._family(rng, delta=1.0 / count, count=count)
-        resid, _ = _consistency_residual(family)
-        assert resid <= 1e-12
-        assert abs(resid - pairwise_residual(family)) <= 1e-13
-
-    @pytest.mark.parametrize(
-        "dim, grid_n, L, drift",
-        [(1, 150, 12.0, "affine:1,-1"), (2, 12, 3.0, "affine:0.5,-0.3")],
-    )
-    def test_chain_matches_pairwise_reference_on_diffusion_families(
-        self, dim, grid_n, L, drift
-    ):
-        model = DiffusionModel(
-            b=vector_field(drift, dim),
-            r=scalar_field("const:0"),
-            L=L,
-            grid_n=grid_n,
-            t0=1.0,
-            dim=dim,
-        )
-        family = build_diffusion_generator(model).family
-        assert len(family) == 9  # the 28 pairs of the reference at 8 substeps
-        resid, _ = _consistency_residual(family)
-        assert resid <= 1e-12
-        assert abs(resid - pairwise_residual(family)) <= 1e-13
-
-    def test_mislabeled_family_raises(self, rng):
-        # K^2 at "time 1" would be read as P_t0 and repeat the walk's time index
-        space = unit_space(6)
-        K = random_kernel(rng, 6, 0.1, 1.0)
-        K /= 1.05 * K.sum(axis=1, keepdims=True)
-        family = [
-            TransferOperator.identity(space, step_label=0.0),
-            TransferOperator(space, K, step_label=1.0),
-            TransferOperator(space, K @ K, step_label=1.0),
-        ]
-        with pytest.raises(ValueError, match="family member 1 "):
-            skeleton_analysis(family, WeightedFunction.ones(space))
-
-    def test_nonpositive_horizon_raises(self, rng):
-        family, space = self._family(rng)
-        zero = [TransferOperator(space, op.kernel, step_label=0.0) for op in family]
-        with pytest.raises(ValueError, match="family member 0 "):
-            skeleton_analysis(zero, WeightedFunction.ones(space))
 
     @pytest.mark.parametrize("t0", [0.5, 1.0])
     @pytest.mark.parametrize("count", [3, 7, 8])
     def test_linspace_labels_pass(self, rng, t0, count):
-        family, space = self._family(rng, count=count)
+        # the time index is linspace(0, t0, n + 1) per period, t0 read off P_t0
+        step, at_t0, space = self._skeleton(rng, count=count)
+        at_t0 = TransferOperator(space, at_t0.kernel, step_label=t0)
+        rep = skeleton_analysis(step, at_t0, count, WeightedFunction.ones(space))
         labels = np.linspace(0.0, t0, count + 1)
-        relabeled = [
-            TransferOperator(space, op.kernel, step_label=float(t))
-            for op, t in zip(family, labels)
-        ]
-        rep = skeleton_analysis(relabeled, WeightedFunction.ones(space))
         assert rep.t0 == t0
-        assert np.array_equal(rep.eq1.index[: count], labels[:-1])
+        assert np.array_equal(rep.eq1.index[:count], labels[:-1])
+        assert np.array_equal(rep.eq1.index[count : 2 * count], t0 + labels[:-1])
+
+    def test_nonpositive_horizon_raises(self, rng):
+        step, at_t0, space = self._skeleton(rng)
+        ones = WeightedFunction.ones(space)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                skeleton_analysis(step, at_t0, n, ones)
+        for t0 in (0.0, -1.0, float("inf"), float("nan")):
+            bad = TransferOperator(space, at_t0.kernel, step_label=t0)
+            with pytest.raises(ValueError, match="not a finite t0 > 0"):
+                skeleton_analysis(step, bad, 4, ones)
+
+    def test_spaces_must_match(self, rng):
+        step, at_t0, _ = self._skeleton(rng)
+        other = unit_space(step.space.size + 1)
+        with pytest.raises(SpaceMismatchError):
+            skeleton_analysis(
+                step,
+                TransferOperator(other, np.eye(other.size), step_label=1.0),
+                4,
+                WeightedFunction.ones(step.space),
+            )
