@@ -527,7 +527,8 @@ def skeleton_analysis(
 
     ``step`` is S = P_delta and ``at_t0`` is P_t0 = S^n, n >= 1, as
     ``build_diffusion_generator`` returns them; t0 > 0 is ``at_t0``'s
-    ``step_label`` and the skeleton times are ``linspace(0, t0, n + 1)``.
+    ``step_label``, ``step``'s label must be t0 / n, and the skeleton times
+    are ``linspace(0, t0, n + 1)``.
     The eigen triple of P_t0 gives the growth rate ``lambda0 = log(theta0) /
     t0`` and, as its eigenfunction eta, the lower weight psi2. The sandwich
     constants bound S^k psi1 / psi1 from above and S^k psi2 / psi2 from below
@@ -543,6 +544,8 @@ def skeleton_analysis(
     t0 = at_t0.step_label
     if not 0.0 < t0 < np.inf:
         raise ValueError(f"P_t0 is at {t0!r}, not a finite t0 > 0")
+    if not np.isclose(n * step.step_label, t0, rtol=1e-12, atol=0.0):
+        raise ValueError(f"step is at {step.step_label!r}, not t0 / n = {t0!r} / {n}")
     triple = power_iterate(at_t0, psi1)
     psi2 = triple.eta
     lambda0 = float(np.log(triple.theta0) / t0)

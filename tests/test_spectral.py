@@ -540,6 +540,7 @@ class TestSkeleton:
     def test_linspace_labels_pass(self, rng, t0, count):
         # the time index is linspace(0, t0, n + 1) per period, t0 read off P_t0
         step, at_t0, space = self._skeleton(rng, count=count)
+        step = TransferOperator(space, step.kernel, step_label=t0 / count)
         at_t0 = TransferOperator(space, at_t0.kernel, step_label=t0)
         rep = skeleton_analysis(step, at_t0, count, WeightedFunction.ones(space))
         labels = np.linspace(0.0, t0, count + 1)
@@ -547,18 +548,34 @@ class TestSkeleton:
         assert np.array_equal(rep.eq1.index[:count], labels[:-1])
         assert np.array_equal(rep.eq1.index[count : 2 * count], t0 + labels[:-1])
 
+    def test_family_needs_a_step(self, rng):
+        step, at_t0, space = self._skeleton(rng)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                skeleton_analysis(step, at_t0, n, WeightedFunction.ones(space))
+
+    def test_mislabeled_family_raises(self, rng):
+        # P_t0 = S^4 at t0 = 1.0: a step not at t0 / n, or a wrong n, is refused
+        step, at_t0, space = self._skeleton(rng)
+        ones = WeightedFunction.ones(space)
+        for label in (0.3, 0.25 * (1.0 + 1e-9), 1.0):
+            bad = TransferOperator(space, step.kernel, step_label=label)
+            with pytest.raises(ValueError, match="not t0 / n"):
+                skeleton_analysis(bad, at_t0, 4, ones)
+        for n in (1, 3, 5, 8):
+            with pytest.raises(ValueError, match="not t0 / n"):
+                skeleton_analysis(step, at_t0, n, ones)
+
     def test_nonpositive_horizon_raises(self, rng):
         step, at_t0, space = self._skeleton(rng)
         ones = WeightedFunction.ones(space)
-        for n in (0, -1):
-            with pytest.raises(ValueError, match="n must be >= 1"):
-                skeleton_analysis(step, at_t0, n, ones)
         for t0 in (0.0, -1.0, float("inf"), float("nan")):
             bad = TransferOperator(space, at_t0.kernel, step_label=t0)
             with pytest.raises(ValueError, match="not a finite t0 > 0"):
                 skeleton_analysis(step, bad, 4, ones)
 
-    def test_spaces_must_match(self, rng):
+    def test_inconsistent_family_raises(self, rng):
+        # step and P_t0 on different spaces
         step, at_t0, _ = self._skeleton(rng)
         other = unit_space(step.space.size + 1)
         with pytest.raises(SpaceMismatchError):
