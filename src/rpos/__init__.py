@@ -33,9 +33,6 @@ from .core import (
     TransferOperator,
     WeightedFunction,
     apply,
-    compose,
-    dual_apply,
-    iterate,
     orbit,
     restrict_space,
     weighted_norm,

@@ -29,6 +29,7 @@ from .condition_g import (
 from .core import (
     Measure,
     NonFiniteError,
+    StateSpace,
     SubsetMask,
     TransferOperator,
     WeightedFunction,
@@ -171,16 +172,21 @@ def read_config(command, cfg, config_path):
 def load_operator_bundle(path: Path):
     """Operator JSON plus optional weight/subset companions.
 
-    The operator layout is {"points", "ref_weights", "kernel", "step_label"};
-    optional extra fields: "psi1", "psi2", "psi" (value lists) and "K" (index
-    list).
+    The operator layout, as ``_operator_json`` writes it, is {"points",
+    "ref_weights", "kernel", "step_label"}; "step_label" defaults to 1.
+    Optional extra fields: "psi1", "psi2", "psi" (value lists) and "K"
+    (index list).
     """
     try:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as err:
         raise UsageError(f"operator JSON {path} does not parse: {err}") from err
     try:
-        op = TransferOperator.from_dict(data)
+        for key in ("points", "ref_weights", "kernel"):
+            if key not in data:
+                raise KeyError(f"operator JSON is missing field '{key}'")
+        space = StateSpace(data["points"], data["ref_weights"])
+        op = TransferOperator(space, data["kernel"], step_label=data.get("step_label", 1))
     except (KeyError, ValueError, TypeError, NonFiniteError) as err:
         raise UsageError(f"malformed operator JSON {path}: {err}") from err
     bundle = {"operator": op}
@@ -348,7 +354,7 @@ def cmd_model_run(cfg):
             "z_score": float(z),
         }
     files = {
-        "kernel.json": _dumps(analysis.build.operator.to_dict()),
+        "kernel.json": _operator_json(analysis.build.operator),
         "eq1.csv": analysis.eq1.to_csv(),
         "eq2.csv": analysis.eq2.to_csv(),
     }
@@ -393,59 +399,22 @@ _COMMANDS = {
 }
 
 
-def _dumps(obj) -> str:
-    """The JSON text of obj as ``json.dumps`` lays it out with ``indent=2``,
-    byte for byte, plus a final newline, at C-encoder speed. A float64
-    array of 1 or 2 dimensions is written as its ``tolist()`` would be.
-
-    With ``indent`` set, json encodes in pure Python. Here only dicts and
-    lists are walked in Python: a list of ints and floats is one C-encoder
-    call, re-indented at its ``", "`` separators, which no number contains;
-    a float64 array formats each distinct entry of a block of rows once
-    (``_encode_floats``); every other leaf and every key goes through
-    ``json.dumps`` itself.
-    """
-    out = []
-    _encode(obj, "\n", out)
-    out.append("\n")
+def _operator_json(op: TransferOperator) -> str:
+    """The operator file ``load_operator_bundle`` reads, as ``json.dumps``
+    with ``indent=2`` writes it with each array as its ``tolist()``, plus a
+    final newline."""
+    out = ["{"]
+    for key, array in (
+        ("points", op.space.points),
+        ("ref_weights", op.space.ref_weights),
+        ("kernel", op.kernel),
+    ):
+        out.append(f'\n  "{key}": ')
+        _encode_floats(array, "\n  ", out)
+        out.append(",")
+    # One join: concatenating to the joined text would copy the whole file.
+    out.append(f'\n  "step_label": {json.dumps(op.step_label)}\n}}\n')
     return "".join(out)
-
-
-_NUMBER_TYPES = {int, float}
-
-
-def _encode(obj, newline, out):
-    """Append the indented encoding of obj; newline is "\\n" plus its indent."""
-    inner = newline + "  "
-    if isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim in (1, 2):
-        if obj.size:
-            _encode_floats(obj, newline, out)
-            return
-        obj = obj.tolist()  # [] or a list of []
-    if isinstance(obj, dict):
-        # json's own key rules: int, float, bool and None keys become strings
-        # and any other type raises TypeError. '{"key": 0}'[1:-4] is '"key"'.
-        pairs = [(json.dumps({k: 0})[1:-4] + ": ", v) for k, v in obj.items()]
-        opening, closing = "{", "}"
-    elif isinstance(obj, (list, tuple)):
-        if obj and set(map(type, obj)) <= _NUMBER_TYPES:
-            flat = json.dumps(obj)[1:-1].replace(", ", "," + inner)
-            out.append("[" + inner + flat + newline + "]")
-            return
-        pairs = [("", v) for v in obj]
-        opening, closing = "[", "]"
-    else:
-        out.append(json.dumps(obj))
-        return
-    if not pairs:
-        out.append(opening + closing)
-        return
-    sep = opening + inner
-    for key, value in pairs:
-        out.append(sep + key)
-        _encode(value, inner, out)
-        sep = "," + inner
-    out.append(newline + closing)
 
 
 #: Rows that share one token table in ``_encode_floats``, and the share of
@@ -541,7 +510,11 @@ def main(argv=None) -> int:
         "elapsed_s": time.time() - started,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
-    outputs = {"report.json": _dumps(report), **files, "run-metadata.json": _dumps(metadata)}
+    outputs = {
+        "report.json": json.dumps(report, indent=2) + "\n",
+        **files,
+        "run-metadata.json": json.dumps(metadata, indent=2) + "\n",
+    }
     for name, content in outputs.items():
         with open(out_dir / name, "w", newline="\n") as fh:
             fh.write(content)

@@ -22,7 +22,8 @@ import numpy as np
 
 #: Relative size below which a quantity is round-off: the floor of every
 #: convergence fit, the slack of the pointwise and row-mass comparisons, the
-#: support threshold of the h-transform and the Poisson tail cut-off.
+#: support threshold of the h-transform, the Poisson tail cut-off and the
+#: tolerance of the skeleton's step-label check.
 ROUNDOFF_REL = 1e-12
 
 
@@ -230,29 +231,6 @@ class TransferOperator:
         k.flags.writeable = False
         object.__setattr__(self, "kernel", k)
 
-    @classmethod
-    def identity(cls, space: StateSpace, step_label: float = 0) -> "TransferOperator":
-        return cls(space, np.eye(space.size), step_label=step_label)
-
-    def to_dict(self) -> dict:
-        # Deterministic field order: points, ref_weights, kernel, step_label.
-        # The arrays stay arrays: cli._dumps writes them as json writes their
-        # tolist(); json.dumps itself needs default=np.ndarray.tolist.
-        return {
-            "points": self.space.points,
-            "ref_weights": self.space.ref_weights,
-            "kernel": self.kernel,
-            "step_label": self.step_label,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TransferOperator":
-        for key in ("points", "ref_weights", "kernel"):
-            if key not in data:
-                raise KeyError(f"operator JSON is missing field '{key}'")
-        space = StateSpace(data["points"], data["ref_weights"])
-        return cls(space, data["kernel"], step_label=data.get("step_label", 1))
-
 
 def apply(P: TransferOperator, f: WeightedFunction) -> WeightedFunction:
     """Row action of the operator: ``out(i) = sum_j kernel(i, j) f(j)``.
@@ -260,20 +238,9 @@ def apply(P: TransferOperator, f: WeightedFunction) -> WeightedFunction:
     Linear and monotone in f; raises NonFiniteError with the offending row
     index if the product overflows.
     """
-    return iterate(P, 1, f)
-
-
-def dual_apply(mu: Measure, P: TransferOperator) -> Measure:
-    """Push a measure through the operator so that (mu P)(f) = mu(P f)."""
-    _check_same_space(mu, P)
-    masses = next(islice(orbit(P.kernel, mu.masses, left=True), 1, None))
-    return Measure(P.space, masses / P.space.ref_weights)
-
-
-def compose(P: TransferOperator, Q: TransferOperator) -> TransferOperator:
-    """Kernel product; step labels add (the semigroup property)."""
-    _check_same_space(P, Q)
-    return TransferOperator(P.space, P.kernel @ Q.kernel, P.step_label + Q.step_label)
+    _check_same_space(P, f)
+    out = next(islice(orbit(P.kernel, f.values), 1, None))
+    return WeightedFunction(P.space, out)
 
 
 def orbit(kernel: np.ndarray, v: np.ndarray, divisor=1.0, left: bool = False):
@@ -299,17 +266,6 @@ def orbit(kernel: np.ndarray, v: np.ndarray, divisor=1.0, left: bool = False):
             v = v @ kernel if left else kernel @ v
             if rescale:
                 v /= divide(v)
-
-
-def iterate(P: TransferOperator, n: int, f: WeightedFunction) -> WeightedFunction:
-    """Apply the operator n times without materializing its n-step kernel."""
-    if n < 0 or int(n) != n:
-        raise ValueError(f"iteration count must be a nonnegative integer, got {n}")
-    if n == 0:
-        return f
-    _check_same_space(P, f)
-    out = next(islice(orbit(P.kernel, f.values), int(n), None))
-    return WeightedFunction(P.space, out)
 
 
 def weighted_norm(f: WeightedFunction, psi1: WeightedFunction) -> float:

@@ -194,7 +194,7 @@ def power_iterate(
     nu = Measure(P.space, m / w)  # already nu(psi1) = 1
     eta = WeightedFunction(P.space, f / pairing[-1])  # nu(eta) = 1
     right_res = float(np.max(np.abs(K @ eta.values - theta * eta.values) / psi))
-    left_res = float(np.sum(np.abs(m @ K - theta * m)))
+    left_res = float(np.sum(np.abs(mP - theta * m)))
     return SpectralTriple(
         theta0=theta,
         eta=eta,
@@ -544,7 +544,7 @@ def skeleton_analysis(
     t0 = at_t0.step_label
     if not 0.0 < t0 < np.inf:
         raise ValueError(f"P_t0 is at {t0!r}, not a finite t0 > 0")
-    if not np.isclose(n * step.step_label, t0, rtol=1e-12, atol=0.0):
+    if not np.isclose(n * step.step_label, t0, rtol=ROUNDOFF_REL, atol=0.0):
         raise ValueError(f"step is at {step.step_label!r}, not t0 / n = {t0!r} / {n}")
     triple = power_iterate(at_t0, psi1)
     psi2 = triple.eta

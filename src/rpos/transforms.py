@@ -41,11 +41,6 @@ class TiltRecord:
     max_row_mass: float
     sub_markov: bool
 
-    def to_dict(self) -> dict:
-        d = self.tilted.to_dict()
-        d["c"] = self.c
-        return d
-
 
 @dataclass(frozen=True, eq=False)
 class HTransformRecord:
@@ -63,12 +58,6 @@ class HTransformRecord:
     transformed: TransferOperator
     row_masses: np.ndarray
     eps_eta: float
-
-    def to_dict(self) -> dict:
-        d = self.transformed.to_dict()
-        d["theta0"] = self.theta0
-        d["support"] = self.support.indices.tolist()
-        return d
 
 
 def tilt_submarkov(

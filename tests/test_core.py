@@ -1,4 +1,3 @@
-import json
 from itertools import islice
 
 import numpy as np
@@ -15,9 +14,6 @@ from rpos import (
     TransferOperator,
     WeightedFunction,
     apply,
-    compose,
-    dual_apply,
-    iterate,
     orbit,
     restrict_space,
     weighted_norm,
@@ -82,69 +78,57 @@ class TestApply:
 
 
 class TestDualApply:
+    """The left action mu -> mu P, as the masses' left orbit."""
+
     def test_point_mass(self, two_state):
         mu = Measure.point_mass(two_state["space"], 0)
-        out = dual_apply(mu, two_state["P"])
-        assert np.allclose(out.masses, [0.5, 0.2], atol=1e-15)
+        out = next(islice(orbit(two_state["P"].kernel, mu.masses, left=True), 1, None))
+        assert np.allclose(out, [0.5, 0.2], atol=1e-15)
 
     def test_identity(self, rng):
         P = make_operator(np.eye(5))
         mu = Measure(P.space, rng.uniform(0, 1, 5))
-        assert np.allclose(dual_apply(mu, P).density, mu.density, atol=0)
+        out = next(islice(orbit(P.kernel, mu.masses, left=True), 1, None))
+        assert np.array_equal(out, mu.masses)
 
     def test_adjointness(self, rng):
+        # (mu P^n)(f) = mu(P^n f): the left and the right orbit pair alike.
         space = StateSpace(np.arange(5.0), rng.uniform(0.5, 2.0, 5))
         P = TransferOperator(space, random_kernel(rng, 5))
         mu = Measure(space, rng.uniform(0, 1, 5))
         f = WeightedFunction(space, rng.normal(size=5))
-        lhs = dual_apply(mu, P).mass(f)
-        rhs = mu.mass(apply(P, f))
-        assert abs(lhs - rhs) <= 1e-12 * max(abs(rhs), 1.0)
-
-
-class TestCompose:
-    def test_identity(self, two_state):
-        I = TransferOperator.identity(two_state["space"], step_label=0)
-        out = compose(I, two_state["P"])
-        assert np.array_equal(out.kernel, two_state["P"].kernel)
-        assert out.step_label == 1
-
-    def test_hand_square(self, two_state):
-        out = compose(two_state["P"], two_state["P"])
-        assert np.allclose(out.kernel, [[0.27, 0.22], [0.11, 0.38]], atol=1e-15)
-        assert out.step_label == 2
-
-    def test_evaluation_orders(self, rng):
-        P = make_operator(random_kernel(rng, 7))
-        Q = TransferOperator(P.space, random_kernel(rng, 7))
-        f = WeightedFunction(P.space, rng.normal(size=7))
-        lhs = apply(compose(P, Q), f).values
-        rhs = apply(P, apply(Q, f)).values
-        assert np.allclose(lhs, rhs, rtol=1e-12)
+        left = orbit(P.kernel, mu.masses, left=True)
+        right = orbit(P.kernel, f.values)
+        for masses, g in islice(zip(left, right), 4):
+            lhs = Measure(space, masses / space.ref_weights).mass(f)
+            rhs = mu.mass(WeightedFunction(space, g))
+            assert abs(lhs - rhs) <= 1e-12 * max(abs(rhs), 1.0)
 
 
 class TestIterate:
     def test_zero_steps(self, two_state):
         f = WeightedFunction(two_state["space"], [2.0, 5.0])
-        assert iterate(two_state["P"], 0, f) is f
+        assert next(orbit(two_state["P"].kernel, f.values)) is f.values
 
     def test_two_steps_on_eigenfunction(self, two_state):
-        out = iterate(two_state["P"], 2, two_state["one"])
-        assert np.allclose(out.values, [0.49, 0.49], atol=1e-15)
-
-    def test_negative_raises(self, two_state):
-        with pytest.raises(ValueError):
-            iterate(two_state["P"], -1, two_state["one"])
+        out = next(islice(orbit(two_state["P"].kernel, two_state["one"].values), 2, None))
+        assert np.allclose(out, [0.49, 0.49], atol=1e-15)
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(0, 25), m=st.integers(0, 25), seed=st.integers(0, 10**6))
     def test_semigroup_law(self, n, m, seed):
+        # P^(n+m) = P^n P^m on the right orbit and on the left one.
         rng = np.random.default_rng(seed)
-        P = make_operator(rng.uniform(0.0, 0.5, size=(4, 4)))
-        f = WeightedFunction(P.space, rng.uniform(0.1, 1.0, 4))
-        lhs = iterate(P, n + m, f).values
-        rhs = iterate(P, n, iterate(P, m, f)).values
-        assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-290)
+        K = rng.uniform(0.0, 0.5, size=(4, 4))
+        v = rng.uniform(0.1, 1.0, 4)
+
+        def nth(start, k, left):
+            return next(islice(orbit(K, start, left=left), k, None))
+
+        for left in (False, True):
+            lhs = nth(v, n + m, left)
+            rhs = nth(nth(v, m, left), n, left)
+            assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-290)
 
 
 class TestOrbit:
@@ -252,20 +236,9 @@ class TestMeasureAndMask:
 
 
 class TestSerialization:
-    def test_round_trip_and_field_order(self, two_state):
-        d = two_state["P"].to_dict()
-        assert list(d.keys()) == ["points", "ref_weights", "kernel", "step_label"]
-        back = TransferOperator.from_dict(json.loads(json.dumps(d, default=np.ndarray.tolist)))
-        assert np.array_equal(back.kernel, two_state["P"].kernel)
-        assert back.space == two_state["P"].space
-        assert back.step_label == two_state["P"].step_label
-
     def test_bad_entries_named_by_plain_indices(self):
         with pytest.raises(NonFiniteError, match=r"entry at \(1, 0\)$"):
             make_operator([[1.0, 1.0], [np.inf, 1.0]])
         with pytest.raises(ValueError, match=r"entry at \(0, 1\)$"):
             make_operator([[1.0, -1.0], [1.0, 1.0]])
 
-    def test_missing_field_named(self):
-        with pytest.raises(KeyError, match="kernel"):
-            TransferOperator.from_dict({"points": [[0.0]], "ref_weights": [1.0]})

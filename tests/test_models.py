@@ -16,7 +16,6 @@ from rpos import (
     build_pds_kernel,
     check_hypotheses,
     girsanov_check,
-    iterate,
     mc_feynman_kac,
     run_pds_analysis,
     scalar_field,
@@ -447,7 +446,8 @@ class TestMonteCarlo:
         x0 = space.points[i0]
         f = lambda y: np.exp(model.a * np.linalg.norm(y, axis=1))
         for n in (1, 3, 7):
-            grid_val = iterate(built.operator, n, built.psi1).values[i0]
+            kernel_n = np.linalg.matrix_power(built.operator.kernel, n)
+            grid_val = (kernel_n @ built.psi1.values)[i0]
             est = mc_feynman_kac(model, x0, n, f, 60_000, seed=42 + n)
             assert abs(est.value - grid_val) <= 3.0 * est.std_error + 2e-3
 

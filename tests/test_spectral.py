@@ -407,7 +407,7 @@ class TestMeasureEq3:
         assert abs(rep.fitted_rate - 4.0 / 7.0) <= 0.02
 
     def test_identity_operator_flags_failure(self, two_state):
-        I = TransferOperator.identity(two_state["space"], step_label=1)
+        I = TransferOperator(two_state["space"], np.eye(2))
         t = power_iterate(I, two_state["one"])
         rep = measure_eq3(I, t.theta0, t.eta, t.nu_P, two_state["one"], 30)
         assert not rep.passed
