@@ -482,6 +482,121 @@ def test_dumps_is_json_dumps_with_indent_2(tmp_path):
             assert text == json.dumps(json.loads(text), indent=2) + "\n", path
 
 
+def key_paths(obj, prefix=""):
+    """The dotted key paths of a parsed report in file order; a state-index
+    key (digits only) reads as *, so the paths name the layout, not data."""
+    if not isinstance(obj, dict):
+        return [prefix[:-1]]
+    paths = []
+    for key, value in obj.items():
+        for path in key_paths(value, prefix + ("*" if key.isdigit() else key) + "."):
+            if path not in paths:
+                paths.append(path)
+    return paths
+
+
+def under(prefix, keys):
+    return [f"{prefix}.{key}" for key in keys]
+
+
+TRIPLE_KEYS = ["theta0", "eta", "nu_P", "right_residual", "left_residual", "iterations"]
+FIT_KEYS = ["target", "fitted_rate", "fitted_constant", "burn_in", "scale", "pass"]
+G_REPORT_KEYS = [
+    *under("g1", ["c1", "nu", "n1", "pass"]),
+    *under("g2", ["theta1", "theta2", "c2", "inf_ratio", "sup_ratio", "psi2_scale", "pass"]),
+    *under("g3", ["c3", "n_checked", "failed_at", "pass"]),
+    *under("g4", ["n4.*", "pass"]),
+    "overall",
+]
+#: Per command: config text, operator JSON (or None), report.json's key paths.
+REPORT_LAYOUT = {
+    "spectral": ("", THREE, [
+        "schema", "command", *under("triple", TRIPLE_KEYS),
+        *under("eq1", FIT_KEYS), *under("eq2", FIT_KEYS),
+    ]),
+    "check-g": ("", THREE, ["schema", "command", *under("g_report", G_REPORT_KEYS)]),
+    "reciprocal": ("n_max = 80\n", TWO_STATE, [
+        "schema", "command", *under("triple", TRIPLE_KEYS),
+        *under("certificate", [
+            "overall", "stage", "m", "lambda", "rho", "d", "c2", "C_R", "n2",
+            "eigen_residual", "V0", "psi1", "K", "nu", "support",
+            *under("g_report", G_REPORT_KEYS), "zeta", "diagnostics",
+        ]),
+        *under("eq3", FIT_KEYS),
+    ]),
+    "model-run": (MAP_CFG + "mc.n_traj = 100\n", None, [
+        "schema", "command", "theta2_seed", "n0", "K", "max_row_leak", "max_psi1_leak",
+        *under("hypotheses", [
+            "kind", "shell_radii", "shell_values", "diverging", "warnings",
+            *under("details", ["penalty_envelope_C", "sup_inv_G", "C_prime"]),
+        ]),
+        *under("g_report", G_REPORT_KEYS), *under("triple", TRIPLE_KEYS),
+        *under("eq1", FIT_KEYS), *under("eq2", FIT_KEYS),
+        *under("mc_probe", [
+            "value", "std_error", "n_traj", "n_killed", "seed", "grid_value", "z_score",
+        ]),
+    ]),
+    "skeleton": (SKELETON_CFG + "grid.n = 200\n", None, [
+        "schema", "command",
+        *under("skeleton", [
+            "lambda0", "c_bar", "c_under", "t0", *under("triple", TRIPLE_KEYS),
+            *under("eq1cont", FIT_KEYS), *under("eq2cont", FIT_KEYS), "pass",
+        ]),
+        *under("girsanov", ["discrepancy", "a", "h", "t0"]),
+    ]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_LAYOUT))
+def test_report_json_keeps_its_layout(tmp_path, command):
+    text, operator, expected = REPORT_LAYOUT[command]
+    if operator is not None:
+        text = f"operator = {write_operator(tmp_path, operator).name}\n" + text
+    cfg = write_config(tmp_path, text)
+    assert run([command, "--config", cfg, "--out", tmp_path / "o", "--quiet"]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert key_paths(report) == expected
+
+
+CYCLE = dict(TWO_STATE, kernel=[[0.0, 1.0], [1.0, 0.0]])
+#: Per case: command, config text, operator JSON (or None), exit code, stdout.
+STDOUT = {
+    "check-g-pass": ("check-g", "", THREE, 0, (
+        "g1  PASS  c1=0.4 n1=1\n"
+        "g2  PASS  theta1=0 theta2=0.8 c2=0.9 inf_ratio=1 sup_ratio=1\n"
+        "g3  PASS  c3=1.22474 n=100\n"
+        "g4  PASS  n4_max=1\n"
+        "overall  PASS\n"
+    )),
+    "check-g-cycle": ("check-g", "k.indices = 0\n", CYCLE, 1, (
+        "g1  FAIL  c1=0 n1=1\n"
+        "g2  FAIL  theta1=1 theta2=1 c2=0 inf_ratio=1 sup_ratio=1\n"
+        "g3  PASS  c3=1 n=100\n"
+        "g4  FAIL  n4_max=-\n"
+        "overall  FAIL\n"
+    )),
+    "model-run": ("model-run", MAP_CFG, None, 0, (
+        "g1  PASS  c1=0.114157 n1=1\n"
+        "g2  PASS  theta1=0.276324 theta2=0.935951 c2=8.56353 inf_ratio=0.0497871 "
+        "sup_ratio=1\n"
+        "g3  PASS  c3=20.0855 n=100\n"
+        "g4  PASS  n4_max=1\n"
+        "overall  PASS\n"
+        "theta0 = 1\n"
+    )),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STDOUT))
+def test_stdout_prints_the_g_table(tmp_path, capsys, case):
+    command, text, operator, code, stdout = STDOUT[case]
+    if operator is not None:
+        text = f"operator = {write_operator(tmp_path, operator).name}\n" + text
+    cfg = write_config(tmp_path, text)
+    assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == code
+    assert capsys.readouterr().out == stdout
+
+
 @pytest.mark.parametrize("command", sorted(SEEDLESS))
 def test_commands_without_monte_carlo_ignore_mc_seed(tmp_path, command):
     text, operator = SEEDLESS[command]
