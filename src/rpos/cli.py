@@ -1,6 +1,12 @@
 """Batch front-end: load a model or raw operator, run an analysis pipeline,
 emit machine-readable reports and plot-ready CSV data.
 
+Every output format is decided here and nowhere else: the operator file
+(``_operator_json``, ``load_operator_bundle``), the report.json layout of
+each record type (``_LAYOUT``, walked by ``_plain``), the profile CSVs
+(``_csv``) and the (G1)-(G4) table printed on stdout (``_g_table``). The
+records themselves carry only their fields and verdicts.
+
 Exit codes: 0 when the analysis passes, 1 when it runs but the answer is
 negative (a legitimate result, reported in the output files), 2 on usage or
 I/O errors. All randomness flows from the single configured seed; reports
@@ -22,6 +28,11 @@ import numpy as np
 
 from . import __version__
 from .condition_g import (
+    G1Result,
+    G2Result,
+    G3Result,
+    G4Result,
+    GReport,
     SeriesDivergenceError,
     SmallSetSearchError,
     check_condition_g,
@@ -37,7 +48,10 @@ from .core import (
 from .models import (
     ConfigError,
     DiffusionModel,
+    GirsanovReport,
     GridCoverageError,
+    HypothesisReport,
+    McEstimate,
     PdsModel,
     StabilityError,
     build_diffusion_generator,
@@ -47,10 +61,13 @@ from .models import (
     scalar_field,
     vector_field,
 )
-from .reciprocal import ReciprocalInput, certify
+from .reciprocal import ReciprocalCertificate, ReciprocalInput, certify
 from .spectral import (
+    ConvergenceReport,
     NonConvergingMassError,
     PowerIterationError,
+    SkeletonReport,
+    SpectralTriple,
     half_probe,
     measure_eq1_eq2,
     measure_eq3,
@@ -235,11 +252,11 @@ def cmd_spectral(cfg):
     report = {
         "schema": SCHEMA,
         "command": "spectral",
-        "triple": triple.to_dict(),
-        "eq1": eq1.to_dict(),
-        "eq2": eq2.to_dict(),
+        "triple": _plain(triple),
+        "eq1": _plain(eq1),
+        "eq2": _plain(eq2),
     }
-    files = {"eq1.csv": eq1.to_csv(), "eq2.csv": eq2.to_csv()}
+    files = {"eq1.csv": _csv(eq1), "eq2.csv": _csv(eq2)}
     text = f"theta0 = {triple.theta0:.12g}  iterations = {triple.iterations}"
     return 0, report, files, text
 
@@ -255,9 +272,9 @@ def cmd_check_g(cfg):
     else:
         K = bundle.get("K", SubsetMask.full(op.space))
     report_obj = check_condition_g(op, K, psi1, psi2, cfg["n1"], cfg["n_max"], cfg["n_max"])
-    report = {"schema": SCHEMA, "command": "check-g", "g_report": report_obj.to_dict()}
+    report = {"schema": SCHEMA, "command": "check-g", "g_report": _plain(report_obj)}
     code = 0 if report_obj.overall else 1
-    return code, report, {}, report_obj.render_table()
+    return code, report, {}, _g_table(report_obj)
 
 
 def cmd_reciprocal(cfg):
@@ -278,11 +295,11 @@ def cmd_reciprocal(cfg):
     report = {
         "schema": SCHEMA,
         "command": "reciprocal",
-        "triple": triple.to_dict(),
-        "certificate": cert.to_dict(),
-        "eq3": eq3.to_dict(),
+        "triple": _plain(triple),
+        "certificate": _plain(cert),
+        "eq3": _plain(eq3),
     }
-    files = {"eq3.csv": eq3.to_csv()}
+    files = {"eq3.csv": _csv(eq3)}
     text = f"certificate {'PASS' if cert.passed else 'FAIL'} (stage: {cert.stage})"
     return (0 if cert.passed else 1), report, files, text
 
@@ -325,14 +342,14 @@ def cmd_model_run(cfg):
         "command": "model-run",
         "theta2_seed": analysis.theta2_seed,
         "n0": analysis.n0,
-        "K": analysis.K.indices.tolist(),
+        "K": _plain(analysis.K),
         "max_row_leak": float(np.max(analysis.build.row_leak)),
         "max_psi1_leak": float(np.max(analysis.build.psi1_leak)),
-        "hypotheses": analysis.hypotheses.to_dict(),
-        "g_report": analysis.g_report.to_dict(),
-        "triple": analysis.triple.to_dict(),
-        "eq1": analysis.eq1.to_dict(),
-        "eq2": analysis.eq2.to_dict(),
+        "hypotheses": _plain(analysis.hypotheses),
+        "g_report": _plain(analysis.g_report),
+        "triple": _plain(analysis.triple),
+        "eq1": _plain(analysis.eq1),
+        "eq2": _plain(analysis.eq2),
     }
     if cfg["mc.n_traj"]:
         op, psi1 = analysis.build.operator, analysis.build.psi1
@@ -349,19 +366,17 @@ def cmd_model_run(cfg):
         grid_value = float((op.kernel @ psi1.values)[i0])
         z = (est.value - grid_value) / est.std_error if est.std_error > 0 else 0.0
         report["mc_probe"] = {
-            **est.to_dict(),
+            **_plain(est),
             "grid_value": grid_value,
             "z_score": float(z),
         }
     files = {
         "kernel.json": _operator_json(analysis.build.operator),
-        "eq1.csv": analysis.eq1.to_csv(),
-        "eq2.csv": analysis.eq2.to_csv(),
+        "eq1.csv": _csv(analysis.eq1),
+        "eq2.csv": _csv(analysis.eq2),
     }
     code = 0 if analysis.g_report.overall else 1
-    text = analysis.g_report.render_table() + (
-        f"\ntheta0 = {analysis.triple.theta0:.12g}"
-    )
+    text = _g_table(analysis.g_report) + f"\ntheta0 = {analysis.triple.theta0:.12g}"
     return code, report, files, text
 
 
@@ -373,15 +388,10 @@ def cmd_skeleton(cfg):
     report = {
         "schema": SCHEMA,
         "command": "skeleton",
-        "skeleton": sk.to_dict(),
-        "girsanov": {
-            "discrepancy": gir.discrepancy,
-            "a": gir.a,
-            "h": gir.h,
-            "t0": gir.t0,
-        },
+        "skeleton": _plain(sk),
+        "girsanov": _plain(gir),
     }
-    files = {"eq1cont.csv": sk.eq1.to_csv(), "eq2cont.csv": sk.eq2.to_csv()}
+    files = {"eq1cont.csv": _csv(sk.eq1), "eq2cont.csv": _csv(sk.eq2)}
     code = 0 if sk.passed else 1
     text = (
         f"lambda0 = {sk.lambda0:.9g}  c_bar = {sk.c_bar:.6g}  "
@@ -397,6 +407,75 @@ _COMMANDS = {
     "model-run": cmd_model_run,
     "skeleton": cmd_skeleton,
 }
+
+
+#: The report.json layout: per record type, its keys in file order, each as
+#: "key", or as "key=attribute" where the key reads another attribute.
+_LAYOUT = {
+    SpectralTriple: "theta0 eta nu_P right_residual left_residual iterations",
+    ConvergenceReport: "target fitted_rate fitted_constant burn_in scale pass=passed",
+    SkeletonReport: "lambda0 c_bar c_under t0 triple eq1cont=eq1 eq2cont=eq2 pass=passed",
+    G1Result: "c1 nu n1 pass=passed",
+    G2Result: "theta1 theta2 c2 inf_ratio sup_ratio psi2_scale pass=passed",
+    G3Result: "c3 n_checked failed_at pass=passed",
+    G4Result: "n4 pass=passed",
+    GReport: "g1 g2 g3 g4 overall",
+    ReciprocalCertificate: (
+        "overall=passed stage m lambda=lam rho d c2 C_R n2 eigen_residual"
+        " V0 psi1 K nu support g_report zeta diagnostics"
+    ),
+    HypothesisReport: "kind shell_radii shell_values diverging warnings details",
+    McEstimate: "value std_error n_traj n_killed seed",
+    GirsanovReport: "discrepancy a h t0",
+}
+
+
+def _plain(obj):
+    """``obj`` as report.json holds it: a record of ``_LAYOUT`` as the dict
+    of its keys, a function as its values, a measure as its density, a
+    subset as its indices, an array as its ``tolist()``, a dict with str
+    keys, and anything else as it is."""
+    layout = _LAYOUT.get(type(obj))
+    if layout is not None:
+        entries = (entry.partition("=") for entry in layout.split())
+        return {key: _plain(getattr(obj, attr or key)) for key, _, attr in entries}
+    if isinstance(obj, WeightedFunction):
+        return obj.values.tolist()
+    if isinstance(obj, Measure):
+        return obj.density.tolist()
+    if isinstance(obj, SubsetMask):
+        return obj.indices.tolist()
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {str(key): _plain(value) for key, value in obj.items()}
+    return obj
+
+
+def _csv(report: ConvergenceReport) -> str:
+    """A profile's CSV: n (an integer where it is one), the error and the
+    fitted bound, floats with 17 significant digits."""
+    lines = ["n,error,bound"]
+    for n, error, bound in zip(report.index, report.errors, report.bound()):
+        n_txt = f"{int(n)}" if float(n).is_integer() else f"{n:.17g}"
+        lines.append(f"{n_txt},{error:.17g},{bound:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def _g_table(g: GReport) -> str:
+    """The (G1)-(G4) verdicts, one line each with their constants, and the
+    overall one."""
+    n4 = [n for n in g.g4.n4.values() if n is not None]
+    rows = [
+        ("g1", g.g1.passed, f"c1={g.g1.c1:.6g} n1={g.g1.n1}"),
+        ("g2", g.g2.passed, f"theta1={g.g2.theta1:.6g} theta2={g.g2.theta2:.6g} "
+         f"c2={g.g2.c2:.6g} inf_ratio={g.g2.inf_ratio:.6g} sup_ratio={g.g2.sup_ratio:.6g}"),
+        ("g3", g.g3.passed, f"c3={g.g3.c3:.6g} n={g.g3.n_checked}"),
+        ("g4", g.g4.passed, f"n4_max={max(n4):.6g}" if n4 else "n4_max=-"),
+    ]
+    lines = [f"{name}  {'PASS' if ok else 'FAIL'}  {info}" for name, ok, info in rows]
+    lines.append(f"overall  {'PASS' if g.overall else 'FAIL'}")
+    return "\n".join(lines)
 
 
 def _operator_json(op: TransferOperator) -> str:

@@ -66,14 +66,6 @@ class G1Result:
     #: column minima of minor_matrix; the unnormalized certificate masses
     nu_raw: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {
-            "c1": self.c1,
-            "nu": self.nu.density.tolist(),
-            "n1": self.n1,
-            "pass": self.passed,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class G2Result:
@@ -86,17 +78,6 @@ class G2Result:
     #: divisor applied to psi2 so that sup psi2/psi1 <= 1 (1.0 if none)
     psi2_scale: float = 1.0
 
-    def to_dict(self) -> dict:
-        return {
-            "theta1": self.theta1,
-            "theta2": self.theta2,
-            "c2": self.c2,
-            "inf_ratio": self.inf_ratio,
-            "sup_ratio": self.sup_ratio,
-            "psi2_scale": self.psi2_scale,
-            "pass": self.passed,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class G3Result:
@@ -106,26 +87,12 @@ class G3Result:
     failed_at: int | None = None
     ratios: np.ndarray = field(default=None, repr=False)
 
-    def to_dict(self) -> dict:
-        return {
-            "c3": self.c3,
-            "n_checked": self.n_checked,
-            "failed_at": self.failed_at,
-            "pass": self.passed,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class G4Result:
     #: state index (into the full space) -> smallest stable n4, or None
     n4: dict
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "n4": {str(k): v for k, v in self.n4.items()},
-            "pass": self.passed,
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,44 +105,6 @@ class GReport:
     @property
     def overall(self) -> bool:
         return self.g1.passed and self.g2.passed and self.g3.passed and self.g4.passed
-
-    def to_dict(self) -> dict:
-        return {
-            "g1": self.g1.to_dict(),
-            "g2": self.g2.to_dict(),
-            "g3": self.g3.to_dict(),
-            "g4": self.g4.to_dict(),
-            "overall": self.overall,
-        }
-
-    def render_table(self) -> str:
-        def fmt(x):
-            return f"{x:.6g}"
-
-        rows = [
-            ("g1", self.g1.passed, f"c1={fmt(self.g1.c1)} n1={self.g1.n1}"),
-            (
-                "g2",
-                self.g2.passed,
-                f"theta1={fmt(self.g2.theta1)} theta2={fmt(self.g2.theta2)} "
-                f"c2={fmt(self.g2.c2)} inf_ratio={fmt(self.g2.inf_ratio)} "
-                f"sup_ratio={fmt(self.g2.sup_ratio)}",
-            ),
-            ("g3", self.g3.passed, f"c3={fmt(self.g3.c3)} n={self.g3.n_checked}"),
-            (
-                "g4",
-                self.g4.passed,
-                "n4_max="
-                + (
-                    fmt(max(v for v in self.g4.n4.values() if v is not None))
-                    if any(v is not None for v in self.g4.n4.values())
-                    else "-"
-                ),
-            ),
-        ]
-        lines = [f"{name}  {'PASS' if ok else 'FAIL'}  {info}" for name, ok, info in rows]
-        lines.append(f"overall  {'PASS' if self.overall else 'FAIL'}")
-        return "\n".join(lines)
 
 
 def _require_small_set(K: SubsetMask):

@@ -21,7 +21,6 @@ from itertools import islice
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from .condition_g import (
     GReport,
@@ -216,6 +215,10 @@ def build_pds_kernel(model: PdsModel) -> PdsKernel:
     beyond the grid box is computed in closed form; the build fails when it
     exceeds 1%.
     """
+    # Imported here, as in _halved_exponential: at module level it adds
+    # scipy.special to every import of rpos.
+    from scipy.special import ndtr
+
     pts, cell_w = _grid_points(model.grid_lo, model.grid_hi, model.grid_n, model.dim)
     n = pts.shape[0]
     space = StateSpace(pts, np.full(n, cell_w))
@@ -263,6 +266,8 @@ def _exp_weighted_tail(m, sd, lo, hi, a):
     Bounds |y| by the coordinate magnitude (exact in one dimension, a
     product upper bound across dimensions).
     """
+    from scipy.special import ndtr
+
     up = np.exp(a * m + 0.5 * (a * sd) ** 2) * ndtr((m + a * sd**2 - hi) / sd)
     lowtail = np.exp(-a * m + 0.5 * (a * sd) ** 2) * ndtr((lo - (m - a * sd**2)) / sd)
     return up + lowtail
@@ -495,15 +500,6 @@ class McEstimate:
     def all_killed(self) -> bool:
         return self.n_killed == self.n_traj
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "std_error": self.std_error,
-            "n_traj": self.n_traj,
-            "n_killed": self.n_killed,
-            "seed": self.seed,
-        }
-
 
 def mc_feynman_kac(
     model,
@@ -607,16 +603,6 @@ class HypothesisReport:
     diverging: bool
     warnings: list
     details: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "shell_radii": self.shell_radii.tolist(),
-            "shell_values": self.shell_values.tolist(),
-            "diverging": self.diverging,
-            "warnings": list(self.warnings),
-            "details": {k: float(v) for k, v in self.details.items()},
-        }
 
 
 #: Number of radius shells the growth diagnostics are read on.

@@ -217,28 +217,6 @@ class ReciprocalCertificate:
     g_report: GReport | None = None
     diagnostics: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "overall": self.passed,
-            "stage": self.stage,
-            "m": self.m,
-            "lambda": self.lam,
-            "rho": self.rho,
-            "d": self.d,
-            "c2": self.c2,
-            "C_R": self.C_R,
-            "n2": self.n2,
-            "eigen_residual": self.eigen_residual,
-            "V0": None if self.V0 is None else self.V0.values.tolist(),
-            "psi1": None if self.psi1 is None else self.psi1.values.tolist(),
-            "K": None if self.K is None else self.K.indices.tolist(),
-            "nu": None if self.nu is None else self.nu.density.tolist(),
-            "support": None if self.support is None else self.support.indices.tolist(),
-            "g_report": None if self.g_report is None else self.g_report.to_dict(),
-            "zeta": self.zeta.tolist(),
-            "diagnostics": self.diagnostics,
-        }
-
 
 def _failed(stage, inp, eigen_residual, **kw):
     return ReciprocalCertificate(False, stage, eigen_residual, inp.zeta, **kw)

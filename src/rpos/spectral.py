@@ -56,16 +56,6 @@ class SpectralTriple:
     left_residual: float
     iterations: int
 
-    def to_dict(self) -> dict:
-        return {
-            "theta0": self.theta0,
-            "eta": self.eta.values.tolist(),
-            "nu_P": self.nu_P.density.tolist(),
-            "right_residual": self.right_residual,
-            "left_residual": self.left_residual,
-            "iterations": self.iterations,
-        }
-
 
 def power_iterate(
     P: TransferOperator,
@@ -98,7 +88,8 @@ def power_iterate(
     A Noda step that does not lower the residual ends Noda steps for the
     rest of the loop: at the residual's round-off floor, or on a strongly
     non-normal kernel, the sweeps finish (or fail) at their own cost.
-    ``iterations`` counts sweeps plus Noda steps, ``max_iter`` bounds both.
+    ``iterations`` counts sweeps plus Noda steps, ``max_iter`` (at least 1)
+    bounds both.
 
     Noda steps converge on periodic and on defective kernels too, so the
     verdict on those is read off the pair: after the loop, the period of
@@ -117,6 +108,8 @@ def power_iterate(
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if np.any(psi1.values <= 0.0):
         raise ValueError("psi1 must be strictly positive")
     K = P.kernel
@@ -304,24 +297,6 @@ class ConvergenceReport:
             return np.zeros_like(self.errors)
         return self.fitted_constant * self.fitted_rate**self.index * self.scale
 
-    def to_csv(self) -> str:
-        lines = ["n,error,bound"]
-        b = self.bound()
-        for i, n in enumerate(self.index):
-            n_txt = f"{int(n)}" if float(n).is_integer() else f"{n:.17g}"
-            lines.append(f"{n_txt},{self.errors[i]:.17g},{b[i]:.17g}")
-        return "\n".join(lines) + "\n"
-
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "fitted_rate": self.fitted_rate,
-            "fitted_constant": self.fitted_constant,
-            "burn_in": self.burn_in,
-            "scale": self.scale,
-            "pass": self.passed,
-        }
-
 
 _SLACK = 1 + 1e-9  # relative slack of the fit's own comparisons
 
@@ -495,18 +470,6 @@ class SkeletonReport:
             and self.eq1.passed
             and self.eq2.passed
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "lambda0": self.lambda0,
-            "c_bar": self.c_bar,
-            "c_under": self.c_under,
-            "t0": self.t0,
-            "triple": self.triple.to_dict(),
-            "eq1cont": self.eq1.to_dict(),
-            "eq2cont": self.eq2.to_dict(),
-            "pass": self.passed,
-        }
 
 
 def half_probe(psi1: WeightedFunction) -> WeightedFunction:

@@ -18,6 +18,7 @@ from rpos import (
     check_g4,
     select_small_set,
 )
+from rpos.cli import _g_table, _plain
 
 from conftest import make_operator, perron_oracle, random_kernel
 
@@ -309,10 +310,10 @@ class TestReportAssembly:
         assert rep.overall == (
             rep.g1.passed and rep.g2.passed and rep.g3.passed and rep.g4.passed
         )
-        d = rep.to_dict()
+        d = _plain(rep)
         assert set(d) == {"g1", "g2", "g3", "g4", "overall"}
         assert d["g1"]["pass"] == rep.g1.passed
-        table = rep.render_table()
+        table = _g_table(rep)
         assert "overall" in table and "c1=" in table
 
     def test_identity_fails_via_g1(self):

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,21 @@ from rpos import (
     vector_field,
 )
 from rpos.models import ConfigError, _halved_exponential
+
+
+def test_import_leaves_scipy_special_and_sparse_unloaded():
+    # Only the kernel builds need scipy.special and scipy.sparse, so importing
+    # the package and its command line loads neither.
+    src = str(Path(rpos.models.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    check = (
+        "import sys, rpos, rpos.cli; "
+        "print(sorted(m for m in ('scipy.special', 'scipy.sparse') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", check], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "[]\n"
 
 
 def small_diffusion(b, r, L, dim=1, grid_n=50):

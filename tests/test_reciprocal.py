@@ -17,6 +17,7 @@ from rpos import (
     measure_eq3,
     power_iterate,
 )
+from rpos.cli import _plain
 
 from conftest import make_operator, random_kernel
 
@@ -305,7 +306,7 @@ class TestCertify:
     def test_certificate_serializes(self, two_state):
         inp, _ = reciprocal_input(two_state["P"])
         cert = certify(inp)
-        d = cert.to_dict()
+        d = _plain(cert)
         assert d["overall"] is True
         assert d["g_report"]["overall"] is True
         assert d["lambda"] == cert.lam

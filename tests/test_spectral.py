@@ -17,6 +17,7 @@ from rpos import (
     vector_field,
 )
 
+from rpos.cli import _csv, _plain
 from rpos.spectral import _fit_geometric, half_probe
 
 from conftest import make_operator, perron_oracle, random_kernel, unit_space
@@ -85,6 +86,14 @@ class TestPowerIterate:
         assert np.max(np.abs(Pe - t.theta0 * t.eta.values)) <= tol
         mP = t.nu_P.masses @ two_state["P"].kernel
         assert np.sum(np.abs(mP - t.theta0 * t.nu_P.masses)) <= tol
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_no_iteration_is_a_value_error(self, two_state, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            power_iterate(two_state["P"], two_state["one"], max_iter=max_iter)
+        # one iteration is enough on a scalar operator
+        P = TransferOperator(two_state["space"], 0.3 * np.eye(2))
+        assert power_iterate(P, two_state["one"], max_iter=1).iterations == 1
 
     def test_periodic_spectrum_fails_with_history(self):
         P = make_operator([[0.0, 1.0], [1.0, 0.0]])
@@ -456,7 +465,7 @@ class TestCsvEmission:
         f = WeightedFunction(two_state["space"], [1.0, 0.0])
         one = two_state["one"]
         rep, _ = measure_eq1_eq2(two_state["P"], two_state["triple"], one, one, mu, f, 12)
-        text = rep.to_csv()
+        text = _csv(rep)
         lines = text.split("\n")
         assert lines[0] == "n,error,bound"
         assert len(lines) == 15  # header + 13 rows + trailing newline split
@@ -489,7 +498,7 @@ class TestSkeleton:
         assert abs(rep.lambda0 - np.log(t.theta0)) <= 1e-9
         assert np.isfinite(rep.c_bar) and rep.c_under > 0.0
         assert rep.passed
-        assert "consistency_residual" not in rep.to_dict()
+        assert "consistency_residual" not in _plain(rep)
 
     def test_exponential_rescale_shifts_lambda0(self, rng):
         step, at_t0, space = self._skeleton(rng)
