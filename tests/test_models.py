@@ -34,8 +34,7 @@ from rpos.models import ConfigError, _halved_exponential
 def test_import_leaves_scipy_special_and_sparse_unloaded():
     # Only the kernel builds need scipy.special and scipy.sparse, so importing
     # the package and its command line loads neither.
-    src = str(Path(rpos.models.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = {**os.environ, "PYTHONPATH": str(Path(rpos.models.__file__).parents[1])}
     check = (
         "import sys, rpos, rpos.cli; "
         "print(sorted(m for m in ('scipy.special', 'scipy.sparse') if m in sys.modules))"
