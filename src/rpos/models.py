@@ -70,20 +70,20 @@ def vector_field(spec: str, dim: int) -> Callable[[np.ndarray], np.ndarray]:
     """Build a map R^d -> R^d from a catalog selector.
 
     Selectors: ``const:v``, ``linear:c`` (c*x), ``affine:c0,c1`` (c0 + c1*x,
-    applied per coordinate), ``zero``.
+    applied per coordinate), ``zero``. The map writes into ``out`` if given.
     """
     name, params = _split_spec(spec)
     if name == "zero":
-        return lambda x: np.zeros_like(x)
+        return lambda x, out=None: _filled(np.shape(x), 0.0, out)
     if name == "const":
         (v,) = _floats(params, 1, spec)
-        return lambda x: np.full_like(x, v)
+        return lambda x, out=None: _filled(np.shape(x), v, out)
     if name == "linear":
         (c,) = _floats(params, 1, spec)
-        return lambda x: c * x
+        return lambda x, out=None: np.multiply(c, x, out=out)
     if name == "affine":
         c0, c1 = _floats(params, 2, spec)
-        return lambda x: c0 + c1 * x
+        return lambda x, out=None: np.add(c0, np.multiply(c1, x, out=out), out=out)
     raise ConfigError(f"unknown vector field selector '{spec}'")
 
 
@@ -91,21 +91,30 @@ def scalar_field(spec: str) -> Callable[[np.ndarray], np.ndarray]:
     """Build a scalar function on R^d from a catalog selector.
 
     Selectors: ``const:v``, ``exp_abs:a`` (exp(a |x|)), ``affine_sum:c0,c1``
-    (c0 + c1 * sum_i x_i), ``zero``.
+    (c0 + c1 * sum_i x_i), ``zero``. The function writes into ``out`` if given.
     """
     name, params = _split_spec(spec)
     if name == "zero":
-        return lambda x: np.zeros(x.shape[0])
+        return lambda x, out=None: _filled(x.shape[0], 0.0, out)
     if name == "const":
         (v,) = _floats(params, 1, spec)
-        return lambda x: np.full(x.shape[0], v)
+        return lambda x, out=None: _filled(x.shape[0], v, out)
     if name == "exp_abs":
         (a,) = _floats(params, 1, spec)
-        return lambda x: np.exp(a * np.linalg.norm(x, axis=1))
+        return lambda x, out=None: np.exp(a * np.linalg.norm(x, axis=1), out=out)
     if name == "affine_sum":
         c0, c1 = _floats(params, 2, spec)
-        return lambda x: c0 + c1 * x.sum(axis=1)
+        return lambda x, out=None: np.add(
+            c0, np.multiply(c1, np.sum(x, axis=1, out=out), out=out), out=out
+        )
     raise ConfigError(f"unknown scalar field selector '{spec}'")
+
+
+def _filled(shape, v, out):
+    if out is None:
+        return np.full(shape, v)
+    out.fill(v)
+    return out
 
 
 def _split_spec(spec: str):
@@ -283,10 +292,11 @@ class DiffusionModel:
     Killed at the orthant boundary and at the truncation faces x_i = L (the
     truncation kill is conservative: it only lowers the growth rate). The
     mesh has ``grid_n`` interior nodes per dimension, ``h = L / (n + 1)``.
+    ``b`` and ``r`` are catalog fields: the Monte Carlo loop passes ``out``.
     """
 
-    b: Callable[[np.ndarray], np.ndarray]
-    r: Callable[[np.ndarray], np.ndarray]
+    b: Callable[..., np.ndarray]
+    r: Callable[..., np.ndarray]
     L: float
     grid_n: int
     t0: float
@@ -561,28 +571,37 @@ def _mc_diffusion(model, x, horizon, f, n_traj, rng, substep):
     steps = max(1, round(horizon / substep))
     dt = horizon / steps
     sqdt = math.sqrt(dt)
-    X = np.broadcast_to(np.asarray(x, float).reshape(1, model.dim), (n_traj, model.dim)).copy()
+    shape = (n_traj, model.dim)
+    X = np.broadcast_to(np.asarray(x, float).reshape(1, model.dim), shape).copy()
     log_weight = np.zeros(n_traj)  # read only where alive
     alive = np.ones(n_traj, dtype=bool)
+    # Work arrays made once, the fields written into them: fresh per-step arrays
+    # of this size can be trimmed from the heap and faulted back in on every
+    # step, depending on what the process allocated before.
+    rate, prop, noise = np.empty(n_traj), np.empty(shape), np.empty(shape)
+    keep = np.empty(n_traj, dtype=np.int64)
     for _ in range(steps):
-        log_weight += dt * np.asarray(model.r(X), dtype=float)
-        prop = dt * np.asarray(model.b(X), dtype=float).reshape(n_traj, model.dim)
+        log_weight += np.multiply(dt, model.r(X, out=rate), out=rate)
+        np.multiply(dt, model.b(X, out=prop), out=prop)
         prop += X  # X + dt b bit for bit: addition commutes
-        prop += sqdt * rng.standard_normal((n_traj, model.dim))
-        _freeze_killed(X, prop, alive)
+        prop += np.multiply(sqdt, rng.standard_normal(out=noise), out=noise)
+        _freeze_killed(X, prop, alive, keep)
         alive &= np.all((X > 0.0) & (X <= model.L), axis=1)
     log_weight[~alive] = 0.0  # unread, and exp must not overflow on it
     vals = np.where(alive, np.exp(log_weight) * np.asarray(f(X), dtype=float), 0.0)
     return vals, n_traj - int(alive.sum())
 
 
-def _freeze_killed(old, new, alive):
-    """Copy ``new`` into ``old`` on alive paths, overwriting ``new``; killed paths stay put."""
+def _freeze_killed(old, new, alive, keep=None):
+    """Copy ``new`` into ``old`` on alive paths, overwriting ``new``; killed paths stay put.
+
+    ``keep``, an int64 array of ``alive``'s length, receives the blend mask if given.
+    """
     # Blends the float64 bits through an int64 mask, so unlike np.where no branch reads the
     # random mask. Both arrays are contiguous, so their int64 reshapes are views.
     bits, diff = (a.view(np.int64).reshape(alive.size, -1) for a in (old, new))
     diff ^= bits
-    diff &= np.negative(alive.view(np.int8), dtype=np.int64)[:, None]
+    diff &= np.negative(alive.view(np.int8), dtype=np.int64, out=keep)[:, None]
     bits ^= diff
 
 

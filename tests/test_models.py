@@ -80,6 +80,27 @@ class TestCatalog:
         assert np.allclose(scalar_field("exp_abs:1")(x), np.exp([3.0, 4.0]))
         assert np.allclose(scalar_field("affine_sum:1,2")(x), [7.0, -7.0])
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            vector_field("zero", 2),
+            vector_field("const:3", 2),
+            vector_field("linear:0.25", 2),
+            vector_field("affine:1,-1", 2),
+            scalar_field("zero"),
+            scalar_field("const:2"),
+            scalar_field("exp_abs:0.3"),
+            scalar_field("affine_sum:1,-0.7"),
+        ],
+        ids=["v-zero", "v-const", "v-linear", "v-affine", "zero", "const", "exp_abs", "affine_sum"],
+    )
+    def test_out_gets_the_same_bits(self, field, rng):
+        x = rng.normal(size=(50, 2))
+        fresh = field(x)
+        out = np.full_like(fresh, np.nan)
+        assert field(x, out=out) is out
+        assert np.array_equal(out.view(np.int64), fresh.view(np.int64))
+
     def test_bad_selectors(self):
         with pytest.raises(ConfigError):
             vector_field("spline:1", 1)
@@ -517,6 +538,27 @@ class TestMonteCarlo:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             est = mc_feynman_kac(model, *args)
         assert (est.value, est.std_error, est.n_killed) == self.PINNED[case]
+
+    def test_diffusion_steps_do_not_fault_pages_in(self):
+        # Fresh per-step arrays were trimmed from the heap and faulted back in on
+        # every Euler step (dozens of faults a step) in a process that had not
+        # imported scipy.special. The loop now writes into arrays made once.
+        probe = (
+            "import resource, numpy as np\n"
+            "from rpos import DiffusionModel, mc_feynman_kac, scalar_field, vector_field\n"
+            "m = DiffusionModel(b=vector_field('affine:1,-1', 1), r=scalar_field('const:0'),"
+            " L=12.0, grid_n=400, t0=1.0)\n"
+            "one = lambda y: np.ones(y.shape[0])\n"
+            "for seed in (1, 2):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    mc_feynman_kac(m, [1.0], 1.0, one, 20000, seed, substep=0.002)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(rpos.models.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert int(out.stdout) < 500  # 500 steps; over 20 000 faults before
 
     @pytest.mark.parametrize("case", ["diffusion-1d", "diffusion-2d", "boxed-pds"])
     def test_killed_paths_stay_frozen(self, case):
