@@ -249,13 +249,7 @@ def cmd_spectral(cfg):
     triple = power_iterate(op, psi1, tol=cfg["tol"])
     mu, f = Measure.point_mass(op.space, 0), half_probe(psi1)
     eq1, eq2 = measure_eq1_eq2(op, triple, psi1, psi2, mu, f, cfg["n_max"])
-    report = {
-        "schema": SCHEMA,
-        "command": "spectral",
-        "triple": _plain(triple),
-        "eq1": _plain(eq1),
-        "eq2": _plain(eq2),
-    }
+    report = {"triple": _plain(triple), "eq1": _plain(eq1), "eq2": _plain(eq2)}
     files = {"eq1.csv": _csv(eq1), "eq2.csv": _csv(eq2)}
     text = f"theta0 = {triple.theta0:.12g}  iterations = {triple.iterations}"
     return 0, report, files, text
@@ -271,8 +265,8 @@ def cmd_check_g(cfg):
         K = _small_set(op.space, tokens, "config key 'k.indices'")
     else:
         K = bundle.get("K", SubsetMask.full(op.space))
-    report_obj = check_condition_g(op, K, psi1, psi2, cfg["n1"], cfg["n_max"], cfg["n_max"])
-    report = {"schema": SCHEMA, "command": "check-g", "g_report": _plain(report_obj)}
+    report_obj = check_condition_g(op, K, psi1, psi2, cfg["n1"], cfg["n_max"])
+    report = {"g_report": _plain(report_obj)}
     code = 0 if report_obj.overall else 1
     return code, report, {}, _g_table(report_obj)
 
@@ -293,8 +287,6 @@ def cmd_reciprocal(cfg):
     )
     cert = certify(inp)
     report = {
-        "schema": SCHEMA,
-        "command": "reciprocal",
         "triple": _plain(triple),
         "certificate": _plain(cert),
         "eq3": _plain(eq3),
@@ -338,8 +330,6 @@ def cmd_model_run(cfg):
     model = pds_from_config(cfg)
     analysis = run_pds_analysis(model, n_g=cfg["n_max"], eq_n_max=cfg["report.n_max"])
     report = {
-        "schema": SCHEMA,
-        "command": "model-run",
         "theta2_seed": analysis.theta2_seed,
         "n0": analysis.n0,
         "K": _plain(analysis.K),
@@ -385,12 +375,7 @@ def cmd_skeleton(cfg):
     fam = build_diffusion_generator(model, n_substeps=cfg["skeleton.substeps"])
     sk = skeleton_analysis(fam.step, fam.at_t0, fam.n_substeps, fam.psi)
     gir = girsanov_check(fam)
-    report = {
-        "schema": SCHEMA,
-        "command": "skeleton",
-        "skeleton": _plain(sk),
-        "girsanov": _plain(gir),
-    }
+    report = {"skeleton": _plain(sk), "girsanov": _plain(gir)}
     files = {"eq1cont.csv": _csv(sk.eq1), "eq2cont.csv": _csv(sk.eq2)}
     code = 0 if sk.passed else 1
     text = (
@@ -589,8 +574,9 @@ def main(argv=None) -> int:
         "elapsed_s": time.time() - started,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
+    envelope = {"schema": SCHEMA, "command": args.command, **report}
     outputs = {
-        "report.json": json.dumps(report, indent=2) + "\n",
+        "report.json": json.dumps(envelope, indent=2) + "\n",
         **files,
         "run-metadata.json": json.dumps(metadata, indent=2) + "\n",
     }

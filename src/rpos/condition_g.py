@@ -21,7 +21,7 @@ order for which the drift inequality is guaranteed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -85,7 +85,6 @@ class G3Result:
     n_checked: int
     passed: bool
     failed_at: int | None = None
-    ratios: np.ndarray = field(default=None, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,13 +246,7 @@ def check_g3(
         top = np.max(f[idx] / v[idx])
         bot = np.min(f[idx] / v[idx])
         if bot <= 0.0:
-            return G3Result(
-                c3=float("inf"),
-                n_checked=n,
-                passed=False,
-                failed_at=n,
-                ratios=ratios[: n + 1],
-            )
+            return G3Result(c3=float("inf"), n_checked=n, passed=False, failed_at=n)
         ratios[n] = top / bot
     c3 = float(np.max(ratios))
     q = (3 * n_max) // 4
@@ -261,11 +254,7 @@ def check_g3(
         np.max(ratios[q:]) <= np.max(ratios[: max(q, 1)]) * (1.0 + _STAB_RTOL)
     )
     return G3Result(
-        c3=c3,
-        n_checked=n_max,
-        passed=bool(np.isfinite(c3) and stabilized),
-        failed_at=None,
-        ratios=ratios,
+        c3=c3, n_checked=n_max, passed=bool(np.isfinite(c3) and stabilized)
     )
 
 
@@ -421,13 +410,13 @@ def check_condition_g(
     psi1: WeightedFunction,
     psi2: WeightedFunction,
     n1: int = 1,
-    n3_max: int = 100,
-    n4_max: int = 100,
+    n_max: int = 100,
 ) -> GReport:
-    """Run all four checks on shared inputs and assemble the report."""
+    """Run all four checks on shared inputs and assemble the report; (G3)
+    and (G4) share the horizon ``n_max``."""
     return GReport(
         g1=check_g1(P, K, psi1, n1),
         g2=check_g2(P, K, psi1, psi2),
-        g3=check_g3(P, K, psi1, n3_max),
-        g4=check_g4(P, K, psi1, n4_max),
+        g3=check_g3(P, K, psi1, n_max),
+        g4=check_g4(P, K, psi1, n_max),
     )

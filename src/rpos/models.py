@@ -417,10 +417,10 @@ def _halved_exponential(A: np.ndarray, t: float) -> tuple[np.ndarray, int]:
 
 @dataclass(frozen=True, eq=False)
 class DiffusionFamily:
-    """The skeleton of the discretized killed diffusion: its step and P_t0."""
+    """The skeleton of the discretized killed diffusion: its step and P_t0,
+    both on the grid ``step.space``."""
 
     model: DiffusionModel
-    space: StateSpace
     generator: np.ndarray
     #: S = P_delta at delta = t0 / n_substeps, and P_t0 = S^n_substeps
     step: TransferOperator
@@ -459,7 +459,7 @@ def build_diffusion_generator(
         space, np.linalg.matrix_power(step.kernel, n_substeps), step_label=times[-1]
     )
     psi = WeightedFunction(space, np.exp(pts.sum(axis=1)))
-    return DiffusionFamily(model, space, A, step, at_t0, n_substeps, psi, A_bar, a)
+    return DiffusionFamily(model, A, step, at_t0, n_substeps, psi, A_bar, a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -488,7 +488,7 @@ def girsanov_check(family: DiffusionFamily) -> GirsanovReport:
     """
     model = family.model
     step, halvings = _halved_exponential(family.shifted_generator, model.t0)
-    ones = np.ones(family.space.size)
+    ones = np.ones(family.step.space.size)
     direct = next(islice(orbit(step, ones), 2**halvings, None))
     tilt = tilt_submarkov(family.at_t0, family.psi, c=math.exp(family.a * model.t0))
     disc = float(np.max(np.abs(tilt.tilted.kernel @ ones - direct)))
@@ -715,13 +715,12 @@ def _trending(values, up: bool) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class PdsAnalysis:
-    """Everything the map-model pipeline produced."""
+    """What the map-model pipeline produced and ``model-run`` reports."""
 
     build: PdsKernel
     hypotheses: HypothesisReport
     theta2_seed: float
     K: SubsetMask
-    psi2: WeightedFunction
     n0: int
     g_report: GReport
     triple: SpectralTriple
@@ -764,7 +763,7 @@ def run_pds_analysis(
     levels = np.exp(model.a * np.arange(0.5, r_max + 0.25, 0.5))
     K = select_small_set(P, psi1, theta2_seed, levels)
     psi2, n0 = build_psi2_auto(P, K, theta2_seed, psi1)
-    g_report = check_condition_g(P, K, psi1, psi2, n3_max=n_g, n4_max=n_g)
+    g_report = check_condition_g(P, K, psi1, psi2, n_max=n_g)
     triple = power_iterate(P, psi1)
     mu = Measure.point_mass(P.space, int(np.argmin(radius)))
     f = WeightedFunction(P.space, psi1.values * (radius <= 1.0))
@@ -774,7 +773,6 @@ def run_pds_analysis(
         hypotheses=hyp,
         theta2_seed=theta2_seed,
         K=K,
-        psi2=psi2,
         n0=n0,
         g_report=g_report,
         triple=triple,

@@ -233,8 +233,7 @@ def _schedule(m_max):
 def certify(
     inp: ReciprocalInput,
     m_max: int = 128,
-    n_g3: int = 100,
-    n_g4: int = 100,
+    n_g: int = 100,
 ) -> ReciprocalCertificate:
     """Run the full reverse pipeline and verify the resulting package.
 
@@ -291,8 +290,8 @@ def certify(
         g_report = GReport(
             g1=_search_g1(P, K_full, psi1),
             g2=check_g2(P, K_full, psi1, eta),
-            g3=check_g3(P, K_full, psi1, n_g3),
-            g4=check_g4(P, K_full, psi1, n_g4),
+            g3=check_g3(P, K_full, psi1, n_g),
+            g4=check_g4(P, K_full, psi1, n_g),
         )
         last = ReciprocalCertificate(
             passed=g_report.overall,

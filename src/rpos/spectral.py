@@ -85,19 +85,21 @@ def power_iterate(
     factorizations against two 2 N^2-flop matvecs. The ratio needs four
     residuals and the Collatz-Wielandt bounds a strictly positive pair; a
     Noda step whose solve is singular or not positive is a sweep instead.
-    A Noda step that does not lower the residual ends Noda steps for the
-    rest of the loop: at the residual's round-off floor, or on a strongly
-    non-normal kernel, the sweeps finish (or fail) at their own cost.
-    ``iterations`` counts sweeps plus Noda steps, ``max_iter`` (at least 1)
-    bounds both.
+    A Noda step that does not lower the least residual so far (at the
+    residual's round-off floor, or on a strongly non-normal kernel) is
+    followed by ``max(1, N // 3)`` sweeps, the cost of one Noda step,
+    before the next one is tried. ``iterations`` counts sweeps plus Noda
+    steps, ``max_iter`` (at least 1) bounds both.
 
     Noda steps converge on periodic and on defective kernels too, so the
     verdict on those is read off the pair: after the loop, the period of
     the support graph on {eta > 0} and {nu_P > 0} must be 1, and the
-    pairing nu_P(eta) of the unnormalized pair must have settled above
-    round-off rather than fallen with the residual. Sweeps do not converge
-    on a periodic kernel, so the period is read also after N sweeps in a
-    row since the last Noda step that do not lower the least residual.
+    pairing nu_P(eta) of the unnormalized pair must not have fallen with
+    the residual. That relative test is the only defectiveness rule; a
+    pairing that is small but settled belongs to a semisimple eigenvalue.
+    Sweeps do not converge on a periodic kernel, so the period is read
+    also after N sweeps in a row since the last Noda step that do not
+    lower the least residual.
 
     Raises
     ------
@@ -121,7 +123,7 @@ def power_iterate(
     m = m / (m @ psi)  # mu(psi1) = 1
     history, pairing = [], []  # residual and m @ f of each pair
     theta = 0.0
-    noda_ok, noda = True, False  # Noda steps allowed; the last step was one
+    resume, noda = 1, False  # first iteration open to a Noda step; the last step was one
     best, stale = np.inf, 0  # least residual; sweeps in a row that stayed above it
     # Overflow surfaces as theta = inf (or as a nan iterate, read as theta 0.0)
     # and raises below, so numpy's own warnings would add nothing.
@@ -147,13 +149,15 @@ def power_iterate(
             # sweeps after the last Noda step leave it above its least value,
             # the support of the pair has settled: read the period there.
             stale = 0 if noda or history[-1] < best else stale + 1
+            # A Noda step that does not lower the least residual (the
+            # round-off floor, or a non-normal kernel) is followed by the
+            # sweeps that one Noda step costs before the next is tried.
+            if noda and history[-1] >= best:
+                resume = it + max(1, n // 3)
             best = min(best, history[-1])
             if stale == n:
                 _check_aperiodic(K, f, m, history)
-            # A Noda step that does not lower the residual (the round-off
-            # floor, or a non-normal kernel) ends Noda steps: sweeps finish.
-            noda_ok = noda_ok and not (noda and history[-1] >= history[-2])
-            stall = noda_ok and _sweeps_stall(history, tol, n)
+            stall = it >= resume and _sweeps_stall(history, tol, n)
             step = _noda_step(K, f, m, Pf, mP) if stall else None
             noda = step is not None
             f, m = step if noda else (Pf, mP)
@@ -178,7 +182,7 @@ def power_iterate(
     falls = bool(back) and (
         pairing[-1] / pairing[back[-1]] <= np.sqrt(res / history[back[-1]])
     )
-    if falls or not pairing[-1] > ROUNDOFF_REL:
+    if falls:
         raise PowerIterationError(
             f"dominant eigenvalue is defective: nu_P(eta) = {pairing[-1]:.3e} "
             f"before normalization, at residual {history[-1]:.3e}",

@@ -30,11 +30,10 @@ class TiltRecord:
 
     ``row_masses`` is computed as apply(P, psi1) / (c psi1), the same
     arithmetic as the drift comparison P psi1 <= c psi1, so the sub-Markov
-    criterion per row is exactly equivalent to that inequality.
+    criterion per row is exactly equivalent to that inequality. The record
+    holds what the tilt computed; P and psi1 stay with the caller.
     """
 
-    base: TransferOperator
-    psi1: WeightedFunction
     c: float
     tilted: TransferOperator
     row_masses: np.ndarray
@@ -48,16 +47,14 @@ class HTransformRecord:
 
     Rows and columns where eta falls at or below the support threshold are
     dropped, so ``transformed`` lives on the restricted space. For an exact
-    eigenpair the transformed operator is stochastic on that support.
+    eigenpair the transformed operator is stochastic on that support. The
+    record holds what the conjugation computed; P, eta and theta0 stay with
+    the caller.
     """
 
-    base: TransferOperator
-    eta: WeightedFunction
-    theta0: float
     support: SubsetMask
     transformed: TransferOperator
     row_masses: np.ndarray
-    eps_eta: float
 
 
 def tilt_submarkov(
@@ -82,8 +79,6 @@ def tilt_submarkov(
     row_masses = drift.values / (c * v)
     max_row_mass = float(np.max(row_masses))
     return TiltRecord(
-        base=P,
-        psi1=psi1,
         c=c,
         tilted=tilted,
         row_masses=row_masses,
@@ -128,13 +123,6 @@ def h_transform(
     ratio = e[None, :] / (mant * e[:, None])
     kernel = np.ldexp(P.kernel[np.ix_(idx, idx)] * ratio, -exp)
     transformed = TransferOperator(sub_space, kernel, step_label=P.step_label)
-    row_masses = kernel.sum(axis=1)
     return HTransformRecord(
-        base=P,
-        eta=eta,
-        theta0=theta0,
-        support=support,
-        transformed=transformed,
-        row_masses=row_masses,
-        eps_eta=float(eps_eta),
+        support=support, transformed=transformed, row_masses=kernel.sum(axis=1)
     )

@@ -14,9 +14,13 @@ from rpos.cli import (
     UsageError,
     _encode_floats,
     _operator_json,
+    diffusion_from_config,
     load_operator_bundle,
     main,
+    parse_config,
+    read_config,
 )
+from rpos.models import build_diffusion_generator
 
 from conftest import make_operator
 
@@ -281,6 +285,19 @@ class TestSkeletonCommand:
         assert report["skeleton"]["lambda0"] < 0.0
         assert report["girsanov"]["discrepancy"] < 0.05
         assert (out / "eq1cont.csv").exists() and (out / "eq2cont.csv").exists()
+
+    def test_small_pairing_is_not_defective(self, tmp_path):
+        # nu_P(eta) of the unnormalized pair is about 1e-24, but it has
+        # settled: the stencil generator has simple real eigenvalues
+        text = "model.kind = diffusion\nmodel.b = affine:20,-1\ngrid.n = 252\ngrid.L = 12\n"
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert run(["skeleton", "--config", cfg, "--out", out]) == 0
+        report = json.loads((out / "report.json").read_text())
+        model = diffusion_from_config(read_config("skeleton", parse_config(cfg), cfg))
+        generator = build_diffusion_generator(model).generator
+        top = float(np.max(np.linalg.eigvals(generator).real))
+        assert report["skeleton"]["lambda0"] == pytest.approx(top, rel=1e-10)
 
 
 class TestUsageErrors:

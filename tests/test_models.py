@@ -289,12 +289,12 @@ class TestDiffusion:
     def test_heat_kernel_absorbs_and_fills(self):
         base = dict(b=vector_field("zero", 1), r=scalar_field("const:0"), t0=0.5)
         fam = build_diffusion_generator(DiffusionModel(L=6.0, grid_n=120, **base))
-        ones = WeightedFunction.ones(fam.space)
+        ones = WeightedFunction.ones(fam.step.space)
         mass = apply(fam.at_t0, ones)
         assert np.all(mass.values < 1.0)  # strict absorption
         fam_wide = build_diffusion_generator(DiffusionModel(L=24.0, grid_n=480, **base))
-        mid = fam_wide.space.size // 2
-        mass_wide = apply(fam_wide.at_t0, WeightedFunction.ones(fam_wide.space))
+        mid = fam_wide.step.space.size // 2
+        mass_wide = apply(fam_wide.at_t0, WeightedFunction.ones(fam_wide.step.space))
         assert mass_wide.values[mid] > mass.values[mass.values.size // 2]
         assert mass_wide.values[mid] > 0.999
 
@@ -441,7 +441,7 @@ class TestDiffusion:
         assert _halved_exponential(fam.shifted_generator, t0)[1] == halvings
         rep = girsanov_check(fam)
         tilt = tilt_submarkov(fam.at_t0, fam.psi, c=np.exp(fam.a * t0))
-        ones = np.ones(fam.space.size)
+        ones = np.ones(fam.step.space.size)
         dense = uniformized_exponential(fam.shifted_generator, t0)
         ref = np.max(np.abs(tilt.tilted.kernel @ ones - dense @ ones))
         assert abs(rep.discrepancy - ref) <= 1e-9 * ref

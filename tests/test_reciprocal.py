@@ -210,7 +210,7 @@ class TestCertify:
 
     def test_killed_random_walk_certifies(self):
         inp, t = reciprocal_input(killed_walk(50), n_zeta=700)
-        cert = certify(inp, m_max=1024, n_g3=2000, n_g4=200)
+        cert = certify(inp, m_max=1024, n_g=2000)
         assert cert.passed
         assert cert.g_report.g2.theta1 < cert.g_report.g2.theta2
         assert cert.m > 8  # back-off was exercised

@@ -187,7 +187,8 @@ class TestPowerIterate:
 
     def test_noda_steps_end_at_the_round_off_floor(self, monkeypatch):
         # tol 1e-17 lies below the residual's round-off floor: once a Noda
-        # step fails to lower the residual, the loop sweeps
+        # step fails to lower the residual, the loop sweeps N // 3 times
+        # before it tries the next one
         solve, solves = np.linalg.solve, []
 
         def counting_solve(a, b):
@@ -214,6 +215,19 @@ class TestPowerIterate:
         sine = np.sin(np.arange(1, n + 1) * np.pi / (n + 1))
         eta = t.eta.values
         assert np.max(np.abs(eta / eta.max() - sine / sine.max())) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "stay, up, down, n",
+        [(0.2, 0.4, 0.22, 200), (0.3, 0.35, 0.2, 100), (0.25, 0.4, 0.3, 300)],
+    )
+    def test_biased_killed_walk_converges(self, stay, up, down, n):
+        # non-normal walks: early Noda steps fail to lower the residual, and
+        # the sweeps alone would need about 10^5 steps
+        K = stay * np.eye(n) + up * np.eye(n, k=1) + down * np.eye(n, k=-1)
+        P = make_operator(K)
+        t = power_iterate(P, WeightedFunction.ones(P.space))
+        theta = stay + 2.0 * np.sqrt(up * down) * np.cos(np.pi / (n + 1))
+        assert abs(t.theta0 - theta) <= 1e-12 * theta
 
     def test_singular_shift_is_a_sweep(self, monkeypatch):
         # diag(1, 0.5): the Collatz-Wielandt shift is 1 = theta0 exactly
