@@ -99,11 +99,19 @@ _ANALYSIS_ERRORS = (
 )
 
 
+def _read_text(path: Path, what: str) -> str:
+    """The UTF-8 text of ``path``; other bytes are a usage error naming the file."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise UsageError(f"{what} {path} is not UTF-8 text: {err}") from err
+
+
 def parse_config(path: Path) -> dict:
     """Flat key = value file; # starts a comment, blank lines ignored, and
     each key is given once."""
     cfg, first_line = {}, {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), 1):
+    for lineno, raw in enumerate(_read_text(path, "config").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -195,7 +203,7 @@ def load_operator_bundle(path: Path):
     (index list).
     """
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(_read_text(path, "operator JSON"))
     except json.JSONDecodeError as err:
         raise UsageError(f"operator JSON {path} does not parse: {err}") from err
     try:
@@ -276,7 +284,7 @@ def cmd_reciprocal(cfg):
     op = bundle["operator"]
     psi = bundle.get("psi", WeightedFunction.ones(op.space))
     triple = power_iterate(op, psi, tol=cfg["tol"])
-    eq3 = measure_eq3(op, triple.theta0, triple.eta, triple.nu_P, psi, cfg["n_max"])
+    eq3 = measure_eq3(op, triple, psi, cfg["n_max"])
     inp = ReciprocalInput(
         P=op,
         psi=psi,
@@ -553,36 +561,36 @@ def main(argv=None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         code, report, files, text = _COMMANDS[args.command](values)
+        metadata = {
+            "schema": SCHEMA,
+            "command": args.command,
+            "config_path": str(config_path),
+            "config": cfg,
+            "keys_read": [key for key in cfg if key in values],
+            "keys_unread": [key for key in cfg if key not in values],
+            "versions": {
+                "rpos": __version__,
+                "numpy": np.__version__,
+                "python": sys.version.split()[0],
+            },
+            "elapsed_s": time.time() - started,
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        }
+        envelope = {"schema": SCHEMA, "command": args.command, **report}
+        outputs = {
+            "report.json": json.dumps(envelope, indent=2) + "\n",
+            **files,
+            "run-metadata.json": json.dumps(metadata, indent=2) + "\n",
+        }
+        for name, content in outputs.items():
+            with open(out_dir / name, "w", newline="\n") as fh:
+                fh.write(content)
     except _USAGE_ERRORS as err:
         print(f"rpos: error: {err}", file=sys.stderr)
         return 2
     except _ANALYSIS_ERRORS as err:
         print(f"rpos: analysis failed: {err}", file=sys.stderr)
         return 1
-    metadata = {
-        "schema": SCHEMA,
-        "command": args.command,
-        "config_path": str(config_path),
-        "config": cfg,
-        "keys_read": [key for key in cfg if key in values],
-        "keys_unread": [key for key in cfg if key not in values],
-        "versions": {
-            "rpos": __version__,
-            "numpy": np.__version__,
-            "python": sys.version.split()[0],
-        },
-        "elapsed_s": time.time() - started,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-    }
-    envelope = {"schema": SCHEMA, "command": args.command, **report}
-    outputs = {
-        "report.json": json.dumps(envelope, indent=2) + "\n",
-        **files,
-        "run-metadata.json": json.dumps(metadata, indent=2) + "\n",
-    }
-    for name, content in outputs.items():
-        with open(out_dir / name, "w", newline="\n") as fh:
-            fh.write(content)
     if not args.quiet and text:
         print(text)
     return code

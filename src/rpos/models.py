@@ -196,6 +196,11 @@ class PdsKernel(NamedTuple):
     psi1_leak: np.ndarray
 
 
+def _mesh(axes):
+    """The product grid of ``axes`` as (N, d) points, the first axis varying slowest."""
+    return np.column_stack([x.ravel() for x in np.meshgrid(*axes, indexing="ij")])
+
+
 def _grid_points(lo, hi, n, dim):
     axes = []
     weights = 1.0
@@ -203,12 +208,7 @@ def _grid_points(lo, hi, n, dim):
         h = (hi[d] - lo[d]) / n
         axes.append(lo[d] + h * (np.arange(n) + 0.5))
         weights = weights * h
-    if dim == 1:
-        pts = axes[0][:, None]
-    else:
-        xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
-        pts = np.column_stack([xx.ravel(), yy.ravel()])
-    return pts, float(weights)
+    return _mesh(axes), float(weights)
 
 
 #: Largest share of one row's transition mass the grid box may lose.
@@ -315,12 +315,7 @@ class DiffusionModel:
 
 def _diffusion_space(model: DiffusionModel) -> StateSpace:
     h = model.h
-    axis = h * np.arange(1, model.grid_n + 1)
-    if model.dim == 1:
-        pts = axis[:, None]
-    else:
-        xx, yy = np.meshgrid(axis, axis, indexing="ij")
-        pts = np.column_stack([xx.ravel(), yy.ravel()])
+    pts = _mesh([h * np.arange(1, model.grid_n + 1)] * model.dim)
     return StateSpace(pts, np.full(pts.shape[0], h**model.dim))
 
 
@@ -638,52 +633,43 @@ def check_hypotheses(model) -> HypothesisReport:
     """
     if isinstance(model, PdsModel):
         pts, _ = _grid_points(model.grid_lo, model.grid_hi, model.grid_n, model.dim)
-        radii_pts = np.linalg.norm(pts, axis=1)
+        radius = np.linalg.norm(pts, axis=1)
         Fx = np.asarray(model.F(pts), dtype=float).reshape(pts.shape[0], model.dim)
-        s = radii_pts - model.p * np.linalg.norm(Fx, axis=1)
-        radii, values = _shell_profile(radii_pts, s, np.min)
-        diverging = _trending(values, up=True)
+        s = radius - model.p * np.linalg.norm(Fx, axis=1)
         g_vals = np.asarray(model.G(pts), dtype=float)
-        env = float(np.max(g_vals * np.exp(-radii_pts)))
+        env = float(np.max(g_vals * np.exp(-radius)))
         nodes, wts = np.polynomial.hermite.hermgauss(32)
         # E[e^{(1+a)|xi|}] per coordinate via Gauss-Hermite, xi ~ N(0, sd^2)
         z = math.sqrt(2.0) * model.noise_sd * nodes
         moment = float(np.sum(wts * np.exp((1.0 + model.a) * np.abs(z))) / math.sqrt(math.pi)) ** model.dim
-        warnings = []
-        if not diverging:
-            warnings.append("|x| - p|F(x)| does not diverge on the grid shells")
-        return HypothesisReport(
-            kind="pds",
-            shell_radii=radii,
-            shell_values=values,
-            diverging=diverging,
-            warnings=warnings,
-            details={
-                "penalty_envelope_C": env,
-                "sup_inv_G": float(np.max(1.0 / g_vals)),
-                "C_prime": env * moment,
-            },
-        )
-    if isinstance(model, DiffusionModel):
-        space = _diffusion_space(model)
-        pts = space.points
-        radii_pts = np.linalg.norm(pts, axis=1)
+        kind, up = "pds", True
+        warning = "|x| - p|F(x)| does not diverge on the grid shells"
+        details = {
+            "penalty_envelope_C": env,
+            "sup_inv_G": float(np.max(1.0 / g_vals)),
+            "C_prime": env * moment,
+        }
+    elif isinstance(model, DiffusionModel):
+        pts = _diffusion_space(model).points
+        radius = np.linalg.norm(pts, axis=1)
         drift = np.asarray(model.b(pts), dtype=float).reshape(pts.shape[0], model.dim)
         s = np.asarray(model.r(pts), dtype=float) + drift.sum(axis=1)
-        radii, values = _shell_profile(radii_pts, s, np.max)
-        diverging = _trending(values, up=False)
-        warnings = []
-        if not diverging:
-            warnings.append("r + sum b_i does not diverge to -inf on the grid shells")
-        return HypothesisReport(
-            kind="diffusion",
-            shell_radii=radii,
-            shell_values=values,
-            diverging=diverging,
-            warnings=warnings,
-            details={"a": model.dim / 2.0 + float(np.max(s))},
-        )
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+        kind, up = "diffusion", False
+        warning = "r + sum b_i does not diverge to -inf on the grid shells"
+        details = {"a": model.dim / 2.0 + float(np.max(s))}
+    else:
+        raise TypeError(f"unsupported model type {type(model).__name__}")
+    # Each shell is read at its worst point: its least s where s must rise, else its largest.
+    radii, values = _shell_profile(radius, s, np.min if up else np.max)
+    diverging = _trending(values, up)
+    return HypothesisReport(
+        kind=kind,
+        shell_radii=radii,
+        shell_values=values,
+        diverging=diverging,
+        warnings=[] if diverging else [warning],
+        details=details,
+    )
 
 
 def _shell_profile(radii, values, reducer):
@@ -728,18 +714,6 @@ class PdsAnalysis:
     eq2: ConvergenceReport
 
 
-def seed_drift_rate(P: TransferOperator, radius_mask: np.ndarray) -> float:
-    """Half the worst one-step return mass of the seed ball.
-
-    The return mass of a small ball bounds the growth rate from below; the
-    factor 1/2 leaves headroom for the off-set contraction to clear it.
-    """
-    if not radius_mask.any():
-        raise SmallSetSearchError("the unit-ball seed contains no grid point")
-    ind = radius_mask.astype(float)
-    return float(np.min((P.kernel @ ind)[radius_mask]) / 2.0)
-
-
 def run_pds_analysis(
     model: PdsModel,
     n_g: int = 100,
@@ -755,10 +729,15 @@ def run_pds_analysis(
     """
     build = build_pds_kernel(model)
     P, psi1 = build.operator, build.psi1
-    pts = P.space.points
-    radius = np.linalg.norm(pts, axis=1)
+    radius = np.linalg.norm(P.space.points, axis=1)
+    ball = radius <= 1.0
     hyp = check_hypotheses(model)
-    theta2_seed = seed_drift_rate(P, radius <= 1.0)
+    # Half the worst one-step return mass of the unit ball: the return mass of
+    # a small ball bounds the growth rate from below, and the factor 1/2
+    # leaves headroom for the off-set contraction to clear it.
+    if not ball.any():
+        raise SmallSetSearchError("the unit-ball seed contains no grid point")
+    theta2_seed = float(np.min((P.kernel @ ball.astype(float))[ball]) / 2.0)
     r_max = float(np.max(np.abs(np.concatenate([model.grid_lo, model.grid_hi]))))
     levels = np.exp(model.a * np.arange(0.5, r_max + 0.25, 0.5))
     K = select_small_set(P, psi1, theta2_seed, levels)
@@ -766,7 +745,7 @@ def run_pds_analysis(
     g_report = check_condition_g(P, K, psi1, psi2, n_max=n_g)
     triple = power_iterate(P, psi1)
     mu = Measure.point_mass(P.space, int(np.argmin(radius)))
-    f = WeightedFunction(P.space, psi1.values * (radius <= 1.0))
+    f = WeightedFunction(P.space, psi1.values * ball)
     eq1, eq2 = measure_eq1_eq2(P, triple, psi1, psi2, mu, f, eq_n_max)
     return PdsAnalysis(
         build=build,

@@ -84,7 +84,6 @@ class DriftResult:
     reach_masses: np.ndarray
     passed: bool
     full_space: bool
-    diagnostics: str = ""
 
 
 def build_v0(
@@ -146,7 +145,6 @@ def find_drift(
             reach_masses=reach_masses,
             passed=not degenerate,
             full_space=full,
-            diagnostics="full-space small set required" if degenerate else "",
         )
     raise DriftSearchError(
         "no sublevel set is reachable from nu_R within "
@@ -311,7 +309,7 @@ def certify(
             n2=drift.n2,
             support=H.support,
             g_report=g_report,
-            diagnostics=drift.diagnostics,
+            diagnostics="" if drift.passed else "full-space small set required",
         )
         if last.passed:
             return last

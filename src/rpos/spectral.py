@@ -8,11 +8,12 @@ nu_P(psi1) = nu_P(eta) = 1. Periodic and defective dominant spectra are
 read off the support graph and the pair, not off non-convergence.
 ``measure_eq1_eq2`` walks the masses mu P_n once and reads off both the
 ratio profile of eq1 and the theta0-normalized profile of eq2;
-``measure_eq3`` evolves the whole normalized kernel for the uniform eq3
-profile. Each fits a geometric envelope in ``_fit_geometric``, the one
-place a verdict is decided. ``skeleton_analysis`` assembles the
-continuous-time conclusions from a semigroup's step P_delta and its n-th
-power P_t0, walking the same eq1/eq2 masses under the step.
+``measure_eq3`` evolves the whole kernel, normalized by the triple, for
+the uniform eq3 profile. Each fits a geometric envelope in
+``_fit_geometric``, the one place a verdict is decided.
+``skeleton_analysis`` assembles the continuous-time conclusions from a
+semigroup's step P_delta and its n-th power P_t0, walking the eq1/eq2
+masses under the step with the same function, ``_eq1_eq2``.
 """
 
 from __future__ import annotations
@@ -385,34 +386,32 @@ def measure_eq1_eq2(
 
     eq1 is |mu P_n f / mu P_n psi1 - nu_P(f)|, its envelope scaled by
     mu(psi1)/mu(psi2); eq2 is |theta0^-n mu P_n f - mu(eta) nu_P(f)|,
-    scaled by mu(psi1).
+    scaled by mu(psi1). ``_eq1_eq2`` measures them, as it does the
+    continuous-time profiles of ``skeleton_analysis``.
+    """
+    index = np.arange(n_max + 1)
+    return _eq1_eq2(P.kernel, triple.theta0, triple, psi1, psi2, mu, f, index, "")
+
+
+def _eq1_eq2(K, rate, triple, psi1, psi2, mu, f, index, suffix):
+    """Fitted eq1 and eq2 profiles of the masses mu K^n, n = 0, 1, ..., one per ``index`` entry.
+
+    ``rate`` stands for theta0 and ``suffix`` ends both targets' names. The
+    walk divides the mass vector m by b = m(psi1) before each step, so the
+    eq1 ratio m(f) / b is immune to overflow and underflow of the raw
+    semigroup. eq2's rate^-n mu K^n f is that ratio times
+    rate^-n mu K^n psi1, the running product of b / rate from mu(psi1) on,
+    which decays to 0 rather than fails where mu(eta) = 0.
     """
     _check_dominated(f, psi1)
     mu_psi2 = mu.mass(psi2)
     if mu_psi2 <= 0.0:
         raise ValueError("initial measure must satisfy mu(psi2) > 0")
-    e1, e2 = _eq1_eq2_walk(P.kernel, triple.theta0, triple, psi1, mu, f, n_max + 1)
-    index = np.arange(n_max + 1)
-    return (
-        _fit_geometric("eq1", index, e1, mu.mass(psi1) / mu_psi2),
-        _fit_geometric("eq2", index, e2, mu.mass(psi1)),
-    )
-
-
-def _eq1_eq2_walk(K, rate, triple, psi1, mu, f, steps):
-    """eq1 and eq2 errors of the masses mu K^n, n < steps, ``rate`` for theta0.
-
-    The walk divides the mass vector m by b = m(psi1) before each step, so
-    the eq1 ratio m(f) / b is immune to overflow and underflow of the raw
-    semigroup. eq2's rate^-n mu K^n f is that ratio times
-    rate^-n mu K^n psi1, the running product of b / rate from mu(psi1) on,
-    which decays to 0 rather than fails where mu(eta) = 0.
-    """
     nu_f = triple.nu_P.mass(f)
     limit = mu.mass(triple.eta) * nu_f
     m = mu.masses.copy()
-    e1, e2 = np.empty(steps), np.empty(steps)
-    for n in range(steps):
+    e1, e2 = np.empty(len(index)), np.empty(len(index))
+    for n in range(len(index)):
         b = m @ psi1.values
         if b <= 0.0:
             raise NonConvergingMassError(
@@ -423,28 +422,31 @@ def _eq1_eq2_walk(K, rate, triple, psi1, mu, f, steps):
         e1[n] = abs(ratio - nu_f)
         e2[n] = abs(ratio * mass - limit)
         m = (m / b) @ K
-    return e1, e2
+    return (
+        _fit_geometric("eq1" + suffix, index, e1, mu.mass(psi1) / mu_psi2),
+        _fit_geometric("eq2" + suffix, index, e2, mu.mass(psi1)),
+    )
 
 
 def measure_eq3(
     P: TransferOperator,
-    theta0: float,
-    eta: WeightedFunction,
-    nu_P: Measure,
+    triple: SpectralTriple,
     psi: WeightedFunction,
     n_max: int,
 ) -> ConvergenceReport:
     """Uniform profile zeta_n of the normalized semigroup against psi.
 
     zeta_n is the supremum over states x and over all |f| <= psi of
-    ``|theta0^-n P_n f(x) - eta(x) nu_P(f)| / psi(x)``. On a finite space
-    the per-point signed probes ``+-psi 1_{j}`` determine every such f by
-    linearity, so the supremum is the psi-weighted L1 row norm of the
-    difference between the normalized n-step kernel and its rank-one limit.
+    ``|theta0^-n P_n f(x) - eta(x) nu_P(f)| / psi(x)``, with theta0, eta
+    and nu_P those of ``triple``. On a finite space the per-point signed
+    probes ``+-psi 1_{j}`` determine every such f by linearity, so the
+    supremum is the psi-weighted L1 row norm of the difference between the
+    normalized n-step kernel and its rank-one limit.
     """
     if np.any(psi.values <= 0.0):
         raise ValueError("psi must be strictly positive")
-    target = np.outer(eta.values, nu_P.masses)
+    theta0 = triple.theta0
+    target = np.outer(triple.eta.values, triple.nu_P.masses)
     # K @ I == K bit for bit, so the orbit starts at K / theta0 and skips that product
     steps = islice(orbit(P.kernel, P.kernel / theta0, theta0), n_max)
     kernels = chain([np.eye(P.space.size)], steps)
@@ -499,7 +501,8 @@ def skeleton_analysis(
     The eigen triple of P_t0 gives the growth rate ``lambda0 = log(theta0) /
     t0`` and, as its eigenfunction eta, the lower weight psi2. The sandwich
     constants bound S^k psi1 / psi1 from above and S^k psi2 / psi2 from below
-    for k = 0..n, and the convergence profiles walk mu S^k at rate
+    for k = 0..n. eq1cont and eq2cont are measured by ``_eq1_eq2``, as
+    ``measure_eq1_eq2`` measures eq1 and eq2: the walk of mu S^k at rate
     theta0^(1/n) for 8 periods, from the uniform measure with test function
     ``half_probe(psi1)``.
     """
@@ -526,18 +529,16 @@ def skeleton_analysis(
         c_under = min(c_under, float(np.min(down[pos2] / psi2.values[pos2])))
 
     mu = Measure.uniform(space)
-    f = half_probe(psi1)
-    rate = triple.theta0 ** (1.0 / n)
-    e1, e2 = _eq1_eq2_walk(S, rate, triple, psi1, mu, f, _SKELETON_PERIODS * n)
     labels = np.linspace(0.0, t0, n + 1)[:-1]
     ts = (t0 * np.arange(_SKELETON_PERIODS)[:, None] + labels).ravel()
-    scale1 = mu.mass(psi1) / max(mu.mass(psi2), 1e-300)
+    rate = triple.theta0 ** (1.0 / n)
+    eq1, eq2 = _eq1_eq2(S, rate, triple, psi1, psi2, mu, half_probe(psi1), ts, "cont")
     return SkeletonReport(
         lambda0=lambda0,
         c_bar=c_bar,
         c_under=c_under,
         triple=triple,
-        eq1=_fit_geometric("eq1cont", ts, e1, scale1),
-        eq2=_fit_geometric("eq2cont", ts, e2, mu.mass(psi1)),
+        eq1=eq1,
+        eq2=eq2,
         t0=t0,
     )

@@ -170,7 +170,7 @@ def test_criterion_7_reciprocal_round_trip():
         if not check_condition_g(P, SubsetMask.full(P.space), one, one).overall:
             continue
         t = power_iterate(P, one)
-        zeta = measure_eq3(P, t.theta0, t.eta, t.nu_P, one, 60).errors
+        zeta = measure_eq3(P, t, one, 60).errors
         inp = ReciprocalInput(
             P=P, psi=one, eta=t.eta, theta0=t.theta0, zeta=zeta, nu_P=t.nu_P
         )

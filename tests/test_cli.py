@@ -451,6 +451,32 @@ def test_key_given_twice_names_both_lines(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("target", ["config", "operator"])
+def test_input_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, target):
+    # Both ended in a UnicodeDecodeError traceback with exit 1.
+    op = write_operator(tmp_path, TWO_STATE)
+    cfg = write_config(tmp_path, f"operator = {op.name}\n")
+    if target == "config":
+        cfg.write_bytes(cfg.read_bytes() + b"\xff\xfe = 1\n")
+    else:
+        op.write_bytes(op.read_bytes().replace(b'"points"', b'"po\xffints"'))
+    assert run(["spectral", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rpos: error: ") and err.count("\n") == 1
+    assert str(cfg if target == "config" else op) in err
+
+
+def test_output_that_cannot_be_written_is_a_usage_error(tmp_path, capsys):
+    # The writes ran after the error handling: IsADirectoryError, exit 1.
+    op = write_operator(tmp_path, TWO_STATE)
+    cfg = write_config(tmp_path, f"operator = {op.name}\n")
+    (tmp_path / "o" / "report.json").mkdir(parents=True)
+    assert run(["spectral", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rpos: error: ") and err.count("\n") == 1
+    assert "report.json" in err
+
+
 def test_metadata_lists_read_and_unread_keys(tmp_path):
     op = write_operator(tmp_path, TWO_STATE)
     cfg = write_config(tmp_path, f"mc.seed = 3\noperator = {op.name}\nn_max = 20\n")

@@ -210,6 +210,41 @@ class TestPdsPipeline:
         assert np.max(mass.values) >= 0.99
 
 
+class TestGridOrder:
+    # The diffusion stencil steps n points along the first axis and one along
+    # the second, so its grid must vary the first axis slowest; the map grid
+    # comes from the same helper.
+    @staticmethod
+    def assert_first_axis_slowest(points, n, first, second):
+        x, y = points[:, 0].reshape(n, n), points[:, 1].reshape(n, n)
+        np.testing.assert_array_equal(x, np.repeat(first[:, None], n, axis=1))
+        np.testing.assert_array_equal(y, np.repeat(second[None, :], n, axis=0))
+
+    def test_map_grid(self):
+        model = PdsModel(
+            F=vector_field("linear:0.2", 2),
+            G=scalar_field("const:1"),
+            noise_sd=1.0,
+            grid_n=24,
+            grid_lo=[-6.0, -4.0],
+            grid_hi=[6.0, 6.0],
+            p=2.0,
+            a=2.0,
+            dim=2,
+        )
+        space = build_pds_kernel(model).operator.space
+        mid = np.arange(24) + 0.5
+        self.assert_first_axis_slowest(space.points, 24, -6.0 + 0.5 * mid, -4.0 + 10 / 24 * mid)
+        assert space.ref_weights == pytest.approx(np.full(24 * 24, 0.5 * 10 / 24), rel=1e-15)
+
+    def test_diffusion_grid(self):
+        model = small_diffusion("affine:0.5,-0.3", "const:0", L=3.0, dim=2, grid_n=12)
+        space = build_diffusion_generator(model, n_substeps=2).step.space
+        axis = model.h * np.arange(1, 13)
+        self.assert_first_axis_slowest(space.points, 12, axis, axis)
+        assert space.ref_weights == pytest.approx(np.full(12 * 12, model.h**2), rel=1e-15)
+
+
 class TestHypotheses:
     def test_pds_contraction_diverges(self):
         rep = check_hypotheses(small_pds())

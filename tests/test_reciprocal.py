@@ -37,7 +37,7 @@ def killed_walk(n):
 def reciprocal_input(P, psi=None, n_zeta=60, tol=1e-13):
     psi = psi or WeightedFunction.ones(P.space)
     t = power_iterate(P, psi, tol=tol)
-    z = measure_eq3(P, t.theta0, t.eta, t.nu_P, psi, n_zeta)
+    z = measure_eq3(P, t, psi, n_zeta)
     return ReciprocalInput(
         P=P, psi=psi, eta=t.eta, theta0=t.theta0, zeta=z.errors, nu_P=t.nu_P
     ), t
@@ -154,7 +154,7 @@ class TestExtendPsi1:
         t = power_iterate(P, psi)
         assert t.theta0 == pytest.approx(0.5, abs=1e-12)
         assert t.eta.values[1] <= 1e-10  # transient state carries no limit mass
-        z = measure_eq3(P, t.theta0, t.eta, t.nu_P, psi, 60)
+        z = measure_eq3(P, t, psi, 60)
         inp = ReciprocalInput(P=P, psi=psi, eta=t.eta, theta0=t.theta0,
                               zeta=z.errors, nu_P=t.nu_P)
         m, lam = 8, 0.9

@@ -6,6 +6,7 @@ from rpos import (
     PdsModel,
     PowerIterationError,
     SpaceMismatchError,
+    SpectralTriple,
     TransferOperator,
     WeightedFunction,
     build_pds_kernel,
@@ -417,22 +418,20 @@ class TestMeasureEq3:
         eta, nu = two_state["eta"], two_state["nu_P"]
         K = 0.7 * np.outer(eta.values, nu.masses)
         P = TransferOperator(two_state["space"], K)
-        rep = measure_eq3(P, 0.7, eta, nu, two_state["one"], 10)
+        triple = SpectralTriple(0.7, eta, nu, 0.0, 0.0, 0)
+        rep = measure_eq3(P, triple, two_state["one"], 10)
         assert np.max(rep.errors[1:]) <= 1e-14
         assert rep.errors[0] > 0.1  # identity term differs from the limit
 
     def test_two_state_rate(self, two_state):
-        rep = measure_eq3(
-            two_state["P"], 0.7, two_state["eta"], two_state["nu_P"],
-            two_state["one"], 45,
-        )
+        rep = measure_eq3(two_state["P"], two_state["triple"], two_state["one"], 45)
         assert rep.passed
         assert abs(rep.fitted_rate - 4.0 / 7.0) <= 0.02
 
     def test_identity_operator_flags_failure(self, two_state):
         I = TransferOperator(two_state["space"], np.eye(2))
         t = power_iterate(I, two_state["one"])
-        rep = measure_eq3(I, t.theta0, t.eta, t.nu_P, two_state["one"], 30)
+        rep = measure_eq3(I, t, two_state["one"], 30)
         assert not rep.passed
 
     @pytest.mark.parametrize("n_max", [60, 160])
@@ -443,7 +442,7 @@ class TestMeasureEq3:
         P = boxed_map_kernel(grid_n)
         psi = WeightedFunction.ones(P.space)
         t = power_iterate(P, psi, tol=1e-12)
-        rep = measure_eq3(P, t.theta0, t.eta, t.nu_P, psi, n_max)
+        rep = measure_eq3(P, t, psi, n_max)
         assert rep.passed
 
     @pytest.mark.parametrize("grid_n", [300, 401])
@@ -453,7 +452,7 @@ class TestMeasureEq3:
         P = boxed_map_kernel(grid_n)
         psi = WeightedFunction.ones(P.space)
         t = power_iterate(P, psi, tol=1e-12)
-        rep = measure_eq3(P, t.theta0, t.eta, t.nu_P, psi, 12)
+        rep = measure_eq3(P, t, psi, 12)
         target = np.outer(t.eta.values, t.nu_P.masses)
         M, zeta = np.eye(grid_n), []
         for _ in range(13):
