@@ -306,19 +306,16 @@ def cmd_reciprocal(cfg):
 
 def pds_from_config(cfg):
     """The map model of a model-run config as ``read_config`` returns it."""
-    L, dim = cfg["grid.L"], cfg["model.dim"]
-    box = {"domain_lo": -L, "domain_hi": L} if cfg["model.domain"] == "box" else {}
     return PdsModel(
-        F=vector_field(cfg["model.F"], dim),
+        F=vector_field(cfg["model.F"], cfg["model.dim"]),
         G=scalar_field(cfg["model.G"]),
         noise_sd=cfg["noise.sd"],
         grid_n=cfg["grid.n"],
-        grid_lo=-L,
-        grid_hi=L,
+        L=cfg["grid.L"],
         p=cfg["model.p"],
         a=cfg["model.a"],
-        dim=dim,
-        **box,
+        dim=cfg["model.dim"],
+        box=cfg["model.domain"] == "box",
     )
 
 
@@ -536,6 +533,24 @@ def _encode_floats(array, newline, out):
         out.append(newline + "]")
 
 
+def _write_all(out_dir: Path, outputs: dict):
+    """Write every output file or none: each to a temporary file in ``out_dir``,
+    then all into place. A target that exists and is not a regular file is a
+    usage error before anything is written."""
+    temps = {out_dir / name: out_dir / f".{name}.tmp" for name in outputs}
+    for target in temps:
+        if target.exists() and not target.is_file():
+            raise UsageError(f"output {target} exists and is not a regular file")
+    try:
+        for temp, content in zip(temps.values(), outputs.values()):
+            temp.write_text(content, newline="\n")
+        for target, temp in temps.items():
+            temp.replace(target)
+    finally:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rpos",
@@ -582,9 +597,7 @@ def main(argv=None) -> int:
             **files,
             "run-metadata.json": json.dumps(metadata, indent=2) + "\n",
         }
-        for name, content in outputs.items():
-            with open(out_dir / name, "w", newline="\n") as fh:
-                fh.write(content)
+        _write_all(out_dir, outputs)
     except _USAGE_ERRORS as err:
         print(f"rpos: error: {err}", file=sys.stderr)
         return 2

@@ -139,25 +139,23 @@ def _floats(tail: str, count: int, spec: str):
 class PdsModel:
     """Penalized Gaussian-step map at desk scale.
 
-    ``domain`` is the killing region complement: None means no killing (the
-    whole space); otherwise a (lo, hi) box. The grid box only truncates the
-    discretization and must cover the effective support; leaked transition
-    mass is measured at build time. ``p`` and ``a`` are the growth
-    certificate exponents (the weight is exp(a |x|)); admissibility requires
-    p > 1 and 1/a < p - 1.
+    The grid has ``grid_n`` cells per dimension on the box [-L, L]^d. The
+    box only truncates the discretization and must cover the effective
+    support; leaked transition mass is measured at build time. ``box``
+    kills outside that box; without it nothing is killed. ``p`` and ``a``
+    are the growth certificate exponents (the weight is exp(a |x|));
+    admissibility requires p > 1 and 1/a < p - 1.
     """
 
     F: Callable[[np.ndarray], np.ndarray]
     G: Callable[[np.ndarray], np.ndarray]
     noise_sd: float
     grid_n: int
-    grid_lo: np.ndarray
-    grid_hi: np.ndarray
+    L: float
     p: float
     a: float
     dim: int = 1
-    domain_lo: np.ndarray | None = None
-    domain_hi: np.ndarray | None = None
+    box: bool = False
 
     def __post_init__(self):
         if not self.noise_sd > 0.0:
@@ -168,23 +166,14 @@ class PdsModel:
             raise ConfigError("need a > 0 with 1/a < p - 1")
         if self.dim not in (1, 2):
             raise ConfigError("only dim 1 and 2 are supported")
-        if self.grid_n < 1:
-            raise ConfigError("grid_n must be at least 1")
-        for name in ("grid_lo", "grid_hi", "domain_lo", "domain_hi"):
-            val = getattr(self, name)
-            if val is None:
-                continue
-            object.__setattr__(
-                self, name, np.broadcast_to(np.asarray(val, float), (self.dim,)).copy()
-            )
-        if np.any(self.grid_hi <= self.grid_lo):
-            raise ConfigError("grid box must have positive volume")
+        if not (0.0 < self.L < math.inf and self.grid_n >= 1):
+            raise ConfigError("need finite L > 0 and grid_n >= 1")
 
     def in_domain(self, x: np.ndarray) -> np.ndarray:
         """Membership of points (N, d) in the killing-free region."""
-        if self.domain_lo is None:
+        if not self.box:
             return np.ones(x.shape[0], dtype=bool)
-        return np.all((x >= self.domain_lo) & (x <= self.domain_hi), axis=1)
+        return np.all(np.abs(x) <= self.L, axis=1)
 
 
 class PdsKernel(NamedTuple):
@@ -201,14 +190,12 @@ def _mesh(axes):
     return np.column_stack([x.ravel() for x in np.meshgrid(*axes, indexing="ij")])
 
 
-def _grid_points(lo, hi, n, dim):
-    axes = []
-    weights = 1.0
-    for d in range(dim):
-        h = (hi[d] - lo[d]) / n
-        axes.append(lo[d] + h * (np.arange(n) + 0.5))
-        weights = weights * h
-    return _mesh(axes), float(weights)
+def _grid_points(model: PdsModel):
+    """The cell midpoints of the map grid and the cell weight, h times itself d times
+    (``h ** 2`` can differ from ``h * h`` in the last bit)."""
+    L, n = model.L, model.grid_n
+    h = (L - (-L)) / n
+    return _mesh([-L + h * (np.arange(n) + 0.5)] * model.dim), math.prod([h] * model.dim)
 
 
 #: Largest share of one row's transition mass the grid box may lose.
@@ -228,7 +215,7 @@ def build_pds_kernel(model: PdsModel) -> PdsKernel:
     # scipy.special to every import of rpos.
     from scipy.special import ndtr
 
-    pts, cell_w = _grid_points(model.grid_lo, model.grid_hi, model.grid_n, model.dim)
+    pts, cell_w = _grid_points(model)
     n = pts.shape[0]
     space = StateSpace(pts, np.full(n, cell_w))
     Fx = np.asarray(model.F(pts), dtype=float).reshape(n, model.dim)
@@ -247,10 +234,9 @@ def build_pds_kernel(model: PdsModel) -> PdsKernel:
     inside = np.ones(n)
     psi_tail = np.zeros(n)
     for d in range(model.dim):
-        lo, hi = model.grid_lo[d], model.grid_hi[d]
         m = Fx[:, d]
-        inside = inside * (ndtr((hi - m) / sd) - ndtr((lo - m) / sd))
-        psi_tail = psi_tail + _exp_weighted_tail(m, sd, lo, hi, model.a)
+        inside = inside * (ndtr((model.L - m) / sd) - ndtr((-model.L - m) / sd))
+        psi_tail = psi_tail + _exp_weighted_tail(m, sd, model.L, model.a)
     row_leak = 1.0 - inside
     worst = float(np.max(row_leak))
     if worst > _MAX_LEAK:
@@ -269,16 +255,16 @@ def build_pds_kernel(model: PdsModel) -> PdsKernel:
     )
 
 
-def _exp_weighted_tail(m, sd, lo, hi, a):
-    """Closed form of E[e^{a|Y|} 1_{Y outside [lo, hi]}], Y ~ N(m, sd^2).
+def _exp_weighted_tail(m, sd, L, a):
+    """Closed form of E[e^{a|Y|} 1_{Y outside [-L, L]}], Y ~ N(m, sd^2).
 
     Bounds |y| by the coordinate magnitude (exact in one dimension, a
     product upper bound across dimensions).
     """
     from scipy.special import ndtr
 
-    up = np.exp(a * m + 0.5 * (a * sd) ** 2) * ndtr((m + a * sd**2 - hi) / sd)
-    lowtail = np.exp(-a * m + 0.5 * (a * sd) ** 2) * ndtr((lo - (m - a * sd**2)) / sd)
+    up = np.exp(a * m + 0.5 * (a * sd) ** 2) * ndtr((m + a * sd**2 - L) / sd)
+    lowtail = np.exp(-a * m + 0.5 * (a * sd) ** 2) * ndtr((-L - (m - a * sd**2)) / sd)
     return up + lowtail
 
 
@@ -339,7 +325,7 @@ def _assemble_generator(model, space, drift, kill, name):
                 f"{name}: off-diagonal rate negative at node {i} (x = {pts[i]}); "
                 f"need h <= {h_ok:.4g}, got h = {h:.4g}"
             )
-        stride = n_axis if (model.dim == 2 and d == 0) else 1
+        stride = n_axis ** (model.dim - 1 - d)  # _mesh varies the first axis slowest
         axis_index = (np.arange(N) // stride) % n_axis
         has_up = axis_index < n_axis - 1
         has_down = axis_index > 0
@@ -632,7 +618,7 @@ def check_hypotheses(model) -> HypothesisReport:
     ``r + sum_i b_i`` must trend downward.
     """
     if isinstance(model, PdsModel):
-        pts, _ = _grid_points(model.grid_lo, model.grid_hi, model.grid_n, model.dim)
+        pts, _ = _grid_points(model)
         radius = np.linalg.norm(pts, axis=1)
         Fx = np.asarray(model.F(pts), dtype=float).reshape(pts.shape[0], model.dim)
         s = radius - model.p * np.linalg.norm(Fx, axis=1)
@@ -738,8 +724,7 @@ def run_pds_analysis(
     if not ball.any():
         raise SmallSetSearchError("the unit-ball seed contains no grid point")
     theta2_seed = float(np.min((P.kernel @ ball.astype(float))[ball]) / 2.0)
-    r_max = float(np.max(np.abs(np.concatenate([model.grid_lo, model.grid_hi]))))
-    levels = np.exp(model.a * np.arange(0.5, r_max + 0.25, 0.5))
+    levels = np.exp(model.a * np.arange(0.5, model.L + 0.25, 0.5))
     K = select_small_set(P, psi1, theta2_seed, levels)
     psi2, n0 = build_psi2_auto(P, K, theta2_seed, psi1)
     g_report = check_condition_g(P, K, psi1, psi2, n_max=n_g)

@@ -210,8 +210,7 @@ def test_criterion_8_pds_model():
             G=scalar_field("const:1"),
             noise_sd=1.0,
             grid_n=n,
-            grid_lo=-10.0,
-            grid_hi=10.0,
+            L=10.0,
             p=2.0,
             a=2.0,
         )

@@ -243,8 +243,7 @@ class TestModelRunCommand:
 
         cfg = write_config(tmp_path, self.CFG + "model.domain = box\n")
         model = pds_from_config(read_config("model-run", parse_config(cfg), cfg))
-        assert model.domain_lo is not None
-        assert model.domain_lo[0] == -8.0 and model.domain_hi[0] == 8.0
+        assert model.box is True and model.L == 8.0
 
     def test_empty_seed_ball_is_analysis_failure(self, tmp_path, capsys):
         cfg = self.CFG.replace("grid.n = 160", "grid.n = 4").replace(
@@ -477,6 +476,28 @@ def test_output_that_cannot_be_written_is_a_usage_error(tmp_path, capsys):
     assert "report.json" in err
 
 
+def test_failed_write_leaves_the_earlier_run_as_it_was(tmp_path, capsys):
+    # Outputs were written in place one after another: with eq2.csv a
+    # directory, a new report.json and eq1.csv landed beside the earlier
+    # run's run-metadata.json.
+    op = write_operator(tmp_path, TWO_STATE)
+    out = tmp_path / "o"
+    first = write_config(tmp_path, f"operator = {op.name}\nn_max = 20\n", "first.cfg")
+    assert run(["spectral", "--config", first, "--out", out, "--quiet"]) == 0
+    (out / "eq2.csv").unlink()
+    (out / "eq2.csv").mkdir()
+    before = {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()}
+    second = write_config(tmp_path, f"operator = {op.name}\nn_max = 30\n", "second.cfg")
+    assert run(["spectral", "--config", second, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("rpos: error: ") and captured.err.count("\n") == 1
+    assert "eq2.csv" in captured.err
+    assert sorted(path.name for path in out.iterdir()) == sorted([*before, "eq2.csv"])
+    assert {name: (out / name).read_bytes() for name in before} == before
+    assert list((out / "eq2.csv").iterdir()) == []
+
+
 def test_metadata_lists_read_and_unread_keys(tmp_path):
     op = write_operator(tmp_path, TWO_STATE)
     cfg = write_config(tmp_path, f"mc.seed = 3\noperator = {op.name}\nn_max = 20\n")
@@ -494,6 +515,13 @@ def test_readme_names_the_declared_keys_of_each_command():
         bullet = re.search(rf"^\* `{command}`[^:]*:(.*?)(?=^\* |^$)", readme, re.M | re.S)
         named = set(re.findall(r"`([^`]+)`", bullet.group(1))) & every_key
         assert named == set(keys), command
+
+
+def test_readme_minimal_session_runs():
+    # The library tour's one python block runs as README shows it.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (session,) = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    exec(compile(session, "README.md", "exec"), {})
 
 
 #: The commands that run no Monte Carlo probe: config text, operator JSON (or None)
@@ -831,7 +859,7 @@ def test_kernel_json_without_repeats_is_json_dumps(dim, grid_n):
     from rpos.models import PdsModel, scalar_field, vector_field
 
     model = PdsModel(F=vector_field("linear:0.2467", dim), G=scalar_field("const:1"),
-                     noise_sd=1.0, grid_n=grid_n, grid_lo=-10.0, grid_hi=10.0,
+                     noise_sd=1.0, grid_n=grid_n, L=10.0,
                      p=2.0, a=2.0, dim=dim)
     op = build_pds_kernel(model).operator
     same = _operator_json(op) == json.dumps(operator_layout(op), indent=2) + "\n"

@@ -57,8 +57,7 @@ def small_pds(**kw):
         G=scalar_field("const:1"),
         noise_sd=1.0,
         grid_n=160,
-        grid_lo=-8.0,
-        grid_hi=8.0,
+        L=8.0,
         p=2.0,
         a=2.0,
     )
@@ -137,7 +136,7 @@ class TestPdsKernel:
         assert np.all(built.operator.kernel > 0.0)
 
     def test_narrow_grid_rejected(self):
-        model = small_pds(grid_lo=-1.0, grid_hi=1.0)
+        model = small_pds(L=1.0)
         with pytest.raises(GridCoverageError) as err:
             build_pds_kernel(model)
         assert err.value.leak > 0.01
@@ -175,8 +174,11 @@ class TestPdsKernel:
             small_pds(p=1.0)
         with pytest.raises(ValueError):
             small_pds(a=0.5, p=2.0)  # needs 1/a < p - 1
+        for bad in ({"L": 0.0}, {"L": -8.0}, {"L": float("inf")}, {"grid_n": 0}):
+            with pytest.raises(ConfigError):
+                small_pds(**bad)
 
-    @pytest.mark.parametrize("name", ["noise_sd", "p", "a"])
+    @pytest.mark.parametrize("name", ["noise_sd", "p", "a", "L"])
     def test_nan_parameters_rejected(self, name):
         with pytest.raises(ValueError):
             small_pds(**{name: float("nan")})
@@ -197,8 +199,7 @@ class TestPdsPipeline:
             G=scalar_field("const:1"),
             noise_sd=1.0,
             grid_n=24,
-            grid_lo=-6.0,
-            grid_hi=6.0,
+            L=6.0,
             p=2.0,
             a=2.0,
             dim=2,
@@ -226,16 +227,16 @@ class TestGridOrder:
             G=scalar_field("const:1"),
             noise_sd=1.0,
             grid_n=24,
-            grid_lo=[-6.0, -4.0],
-            grid_hi=[6.0, 6.0],
+            L=5.0,
             p=2.0,
             a=2.0,
             dim=2,
         )
         space = build_pds_kernel(model).operator.space
         mid = np.arange(24) + 0.5
-        self.assert_first_axis_slowest(space.points, 24, -6.0 + 0.5 * mid, -4.0 + 10 / 24 * mid)
-        assert space.ref_weights == pytest.approx(np.full(24 * 24, 0.5 * 10 / 24), rel=1e-15)
+        axis = -5.0 + 10 / 24 * mid
+        self.assert_first_axis_slowest(space.points, 24, axis, axis)
+        assert space.ref_weights == pytest.approx(np.full(24 * 24, 10 / 24 * 10 / 24), rel=1e-15)
 
     def test_diffusion_grid(self):
         model = small_diffusion("affine:0.5,-0.3", "const:0", L=3.0, dim=2, grid_n=12)
@@ -243,6 +244,22 @@ class TestGridOrder:
         axis = model.h * np.arange(1, 13)
         self.assert_first_axis_slowest(space.points, 12, axis, axis)
         assert space.ref_weights == pytest.approx(np.full(12 * 12, model.h**2), rel=1e-15)
+
+    def test_2d_generator_is_the_kronecker_sum_of_the_1d_one(self):
+        # With a drift that acts per coordinate and r = 0, the 2D stencil is
+        # A1 (+) A1; a wrong stride would couple nodes along the wrong axis.
+        A1, A2 = (
+            build_diffusion_generator(
+                small_diffusion("affine:0.5,-0.3", "const:0", L=3.0, dim=dim, grid_n=12),
+                n_substeps=1,
+            ).generator
+            for dim in (1, 2)
+        )
+        eye = np.eye(12)
+        kron_sum = np.kron(A1, eye) + np.kron(eye, A1)
+        off = ~np.eye(12 * 12, dtype=bool)
+        np.testing.assert_array_equal(A2[off], kron_sum[off])
+        np.testing.assert_allclose(np.diag(A2), np.diag(kron_sum), rtol=1e-14, atol=0.0)
 
 
 class TestHypotheses:
@@ -503,8 +520,7 @@ class TestMonteCarlo:
 
     def test_all_killed_flagged(self):
         model = small_pds(
-            F=vector_field("const:50", 1), domain_lo=-6.0, domain_hi=6.0,
-            grid_lo=-6.0, grid_hi=6.0, grid_n=60,
+            F=vector_field("const:50", 1), L=6.0, box=True, grid_n=60,
         )
         est = mc_feynman_kac(
             model, [0.0], 1, lambda y: np.ones(y.shape[0]), 200, seed=3
@@ -563,7 +579,7 @@ class TestMonteCarlo:
         elif case == "boxed-pds":
             model = small_pds(
                 F=vector_field("linear:0.5", 1), G=scalar_field("exp_abs:0.2"),
-                grid_lo=-2.5, grid_hi=2.5, domain_lo=-2.5, domain_hi=2.5,
+                L=2.5, box=True,
             )
             f = lambda y: np.exp(0.5 * np.abs(y[:, 0]))
             args = ([0.5], 6, f, 3000, 11, 0.01)
@@ -609,7 +625,7 @@ class TestMonteCarlo:
         else:
             model = small_pds(
                 F=vector_field("linear:3", 1), G=scalar_field("exp_abs:1"),
-                grid_lo=-6.0, grid_hi=6.0, domain_lo=-6.0, domain_hi=6.0,
+                L=6.0, box=True,
             )
             args = ([0.5], 60, one, 2000, 7, 0.01)
         with np.errstate(over="raise", invalid="raise", divide="raise"):

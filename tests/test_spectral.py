@@ -403,12 +403,10 @@ def boxed_map_kernel(grid_n):
         G=scalar_field("const:1"),
         noise_sd=1.0,
         grid_n=grid_n,
-        grid_lo=-10.0,
-        grid_hi=10.0,
+        L=10.0,
         p=2.0,
         a=2.0,
-        domain_lo=-10.0,
-        domain_hi=10.0,
+        box=True,
     )
     return build_pds_kernel(model).operator
 
