@@ -14,7 +14,6 @@ from .condition_g import (
     GReport,
     SeriesDivergenceError,
     SmallSetSearchError,
-    build_psi2,
     build_psi2_auto,
     check_condition_g,
     check_g1,

@@ -88,7 +88,6 @@ _USAGE_ERRORS = (
     GridCoverageError,
     StabilityError,
     OSError,
-    json.JSONDecodeError,
 )
 _ANALYSIS_ERRORS = (
     NonFiniteError,
@@ -534,13 +533,15 @@ def _encode_floats(array, newline, out):
 
 
 def _write_all(out_dir: Path, outputs: dict):
-    """Write every output file or none: each to a temporary file in ``out_dir``,
-    then all into place. A target that exists and is not a regular file is a
-    usage error before anything is written."""
+    """Write every output file or none: make ``out_dir`` if it is missing, write
+    each file to a temporary file there, then move all into place. A target
+    that exists and is not a regular file is a usage error before anything is
+    written. A run that fails before it gets here leaves no directory."""
     temps = {out_dir / name: out_dir / f".{name}.tmp" for name in outputs}
     for target in temps:
         if target.exists() and not target.is_file():
             raise UsageError(f"output {target} exists and is not a regular file")
+    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         for temp, content in zip(temps.values(), outputs.values()):
             temp.write_text(content, newline="\n")
@@ -574,7 +575,9 @@ def main(argv=None) -> int:
         cfg = parse_config(config_path)
         values = read_config(args.command, cfg, config_path)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        existing = next((p for p in (out_dir, *out_dir.parents) if p.exists()), None)
+        if existing is not None and not existing.is_dir():
+            raise UsageError(f"output {existing} exists and is not a directory")
         code, report, files, text = _COMMANDS[args.command](values)
         metadata = {
             "schema": SCHEMA,

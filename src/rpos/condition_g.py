@@ -14,9 +14,9 @@ the four checks compute the best admissible constants on the grid:
 * g4 - aperiodicity: per-state smallest n4 after which P_n(1_K psi1) stays
   positive through the horizon.
 
-``build_psi2`` constructs the drift function as the inverse-rate-weighted
-series of K-return masses, and ``build_psi2_auto`` searches the truncation
-order for which the drift inequality is guaranteed.
+``build_psi2_auto`` constructs the drift function as the inverse-rate-weighted
+series of K-return masses, truncated at the order for which the drift
+inequality is guaranteed.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ from .core import (
 _STAB_RTOL = 1e-3
 #: Relative margin by which a small set's off-set contraction must clear theta2.
 _MARGIN = 0.1
+#: Largest truncation order ``build_psi2_auto`` tries.
+_N0_MAX = 200
 
 
 class SeriesDivergenceError(RuntimeError):
@@ -61,10 +63,6 @@ class G1Result:
     nu: Measure
     n1: int
     passed: bool
-    #: per-pair ratios M(x, j) = P_n1(psi1 1_{j})(x) / psi1(x), x, j in K
-    minor_matrix: np.ndarray
-    #: column minima of minor_matrix; the unnormalized certificate masses
-    nu_raw: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,8 +156,6 @@ def check_g1_horizons(
             nu=Measure(P.space, density),
             n1=int(n1),
             passed=bool(c1 > 0.0),
-            minor_matrix=M,
-            nu_raw=nu_raw,
         )
 
 
@@ -289,13 +285,27 @@ def check_g4(
     return G4Result(n4=n4, passed=passed)
 
 
-def _return_terms(P: TransferOperator, K: SubsetMask, theta2: float, ratios: list):
-    """The K-return masses ``theta2^-k P_k 1_K`` for k = 0, 1, ...
+def build_psi2_auto(
+    P: TransferOperator,
+    K: SubsetMask,
+    theta2: float,
+    psi1: WeightedFunction,
+):
+    """Drift function psi2 at the smallest self-certifying truncation order.
 
-    Appends each term's peak over the previous one to ``ratios`` and raises
-    SeriesDivergenceError once a term passes 1e250.
+    Sums the series ``sum_{k=0}^{n0} theta2^-k P_k 1_K`` and increases n0
+    until ``theta2^-(n0+1) P_{n0+1} 1_K >= 1`` holds on K, the condition
+    under which the truncated series satisfies ``P psi2 >= theta2 psi2``
+    everywhere. Returns (psi2, n0), with psi2 divided by its psi1-weighted
+    sup so that sup psi2/psi1 = 1. Raises SeriesDivergenceError with reason
+    "overflow" once a term passes 1e250, or "exhausted" past order 200.
     """
-    prev_peak = 1.0
+    _require_small_set(K)
+    if theta2 <= 0.0:
+        raise ValueError("theta2 must be positive")
+    idx = K.indices
+    ratios = []  # each term's peak over the previous one
+    acc, prev_peak = 0.0, 1.0
     for k, g in enumerate(orbit(P.kernel, K.member.astype(float), theta2)):
         if k:
             peak = float(np.max(g))
@@ -308,67 +318,13 @@ def _return_terms(P: TransferOperator, K: SubsetMask, theta2: float, ratios: lis
                     reason="overflow",
                     term_ratios=ratios,
                 )
-        yield g
-
-
-def _rescaled(P: TransferOperator, psi2: np.ndarray, psi1, rescale: bool):
-    if rescale:
-        ref = psi1.values if psi1 is not None else np.ones(P.space.size)
-        psi2 = psi2 / np.max(psi2 / ref)
-    return WeightedFunction(P.space, psi2)
-
-
-def build_psi2(
-    P: TransferOperator,
-    K: SubsetMask,
-    theta2: float,
-    n0: int,
-    psi1: WeightedFunction | None = None,
-    rescale: bool = True,
-) -> WeightedFunction:
-    """Drift function as the truncated series of rate-discounted K-returns.
-
-    Computes ``sum_{k=0}^{n0} theta2^-k P_k 1_K`` and, unless ``rescale`` is
-    off, divides by its psi1-weighted sup so that sup psi2/psi1 <= 1.
-    """
-    _require_small_set(K)
-    if theta2 <= 0.0:
-        raise ValueError("theta2 must be positive")
-    if n0 < 0:
-        raise ValueError("n0 must be >= 0")
-    acc = sum(islice(_return_terms(P, K, theta2, []), int(n0) + 1))
-    return _rescaled(P, acc, psi1, rescale)
-
-
-def build_psi2_auto(
-    P: TransferOperator,
-    K: SubsetMask,
-    theta2: float,
-    psi1: WeightedFunction | None = None,
-    n0_max: int = 200,
-    rescale: bool = True,
-):
-    """Search the smallest truncation order making the drift self-certifying.
-
-    Increases n0 until ``theta2^-(n0+1) P_{n0+1} 1_K >= 1`` holds on K, the
-    condition under which the truncated series satisfies
-    ``P psi2 >= theta2 psi2`` everywhere. Returns (psi2, n0); psi2 is the
-    series ``build_psi2`` gives for that n0, summed during the search.
-    """
-    _require_small_set(K)
-    if theta2 <= 0.0:
-        raise ValueError("theta2 must be positive")
-    idx = K.indices
-    ratios = []
-    acc = 0.0
-    for k, g in enumerate(_return_terms(P, K, theta2, ratios)):
-        if k and np.min(g[idx]) >= 1.0:
-            return _rescaled(P, acc, psi1, rescale), k - 1
-        if k > n0_max:
+            if np.min(g[idx]) >= 1.0:
+                return WeightedFunction(P.space, acc / np.max(acc / psi1.values)), k - 1
+        if k > _N0_MAX:
             break
         acc = acc + g
     raise SeriesDivergenceError(
-        f"order search exhausted n0_max = {n0_max} without reaching the "
+        f"order search stopped at n0 = {_N0_MAX} without reaching the "
         "self-certifying truncation; theta2 may exceed the dominant rate "
         f"(last term ratios {ratios[-3:]})",
         reason="exhausted",

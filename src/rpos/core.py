@@ -80,10 +80,6 @@ class StateSpace:
     def size(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
     def __eq__(self, other) -> bool:
         if self is other:
             return True

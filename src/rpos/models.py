@@ -487,10 +487,6 @@ class McEstimate:
     n_killed: int
     seed: int
 
-    @property
-    def all_killed(self) -> bool:
-        return self.n_killed == self.n_traj
-
 
 def mc_feynman_kac(
     model,
@@ -539,11 +535,12 @@ def _mc_pds(model, x, steps, f, n_traj, rng):
     X = np.broadcast_to(np.asarray(x, float).reshape(1, model.dim), (n_traj, model.dim)).copy()
     weight = np.ones(n_traj)
     alive = np.ones(n_traj, dtype=bool)
+    keep = np.empty(n_traj, dtype=np.int64)
     for _ in range(steps):
         prop = np.asarray(model.F(X), dtype=float).reshape(n_traj, model.dim)
-        _freeze_killed(X, prop + model.noise_sd * rng.standard_normal((n_traj, model.dim)), alive)
+        _freeze_killed(X, prop + model.noise_sd * rng.standard_normal((n_traj, model.dim)), alive, keep)
         alive &= model.in_domain(X)
-        _freeze_killed(weight, weight * np.asarray(model.G(X), dtype=float), alive)
+        _freeze_killed(weight, weight * np.asarray(model.G(X), dtype=float), alive, keep)
     vals = np.where(alive, weight * np.asarray(f(X), dtype=float), 0.0)
     return vals, n_traj - int(alive.sum())
 
@@ -573,10 +570,10 @@ def _mc_diffusion(model, x, horizon, f, n_traj, rng, substep):
     return vals, n_traj - int(alive.sum())
 
 
-def _freeze_killed(old, new, alive, keep=None):
+def _freeze_killed(old, new, alive, keep):
     """Copy ``new`` into ``old`` on alive paths, overwriting ``new``; killed paths stay put.
 
-    ``keep``, an int64 array of ``alive``'s length, receives the blend mask if given.
+    ``keep``, an int64 work array of ``alive``'s length, receives the blend mask.
     """
     # Blends the float64 bits through an int64 mask, so unlike np.where no branch reads the
     # random mask. Both arrays are contiguous, so their int64 reshapes are views.

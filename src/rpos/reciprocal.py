@@ -83,7 +83,6 @@ class DriftResult:
     #: masses of nu_R R_n2, the first image of nu_R that charges K
     reach_masses: np.ndarray
     passed: bool
-    full_space: bool
 
 
 def build_v0(
@@ -135,8 +134,7 @@ def find_drift(
             continue
         n2, reach_masses = reach
         C_R = float(max(np.max((Rv - rho * v0.values)[member]), 0.0))
-        full = bool(member.all())
-        degenerate = full and not ok.all()
+        degenerate = bool(member.all()) and not ok.all()
         return DriftResult(
             K=SubsetMask(R.space, member),
             C_R=C_R,
@@ -144,7 +142,6 @@ def find_drift(
             n2=n2,
             reach_masses=reach_masses,
             passed=not degenerate,
-            full_space=full,
         )
     raise DriftSearchError(
         "no sublevel set is reachable from nu_R within "

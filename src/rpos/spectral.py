@@ -33,6 +33,10 @@ from .core import (
     orbit,
 )
 
+#: Most iterations (sweeps plus Noda steps) ``power_iterate`` takes.
+_MAX_ITER = 20000
+
+
 class PowerIterationError(RuntimeError):
     """Iteration failed to converge; carries the relative residual history."""
 
@@ -62,7 +66,6 @@ def power_iterate(
     P: TransferOperator,
     psi1: WeightedFunction,
     tol: float = 1e-13,
-    max_iter: int = 20000,
 ) -> SpectralTriple:
     """Right/left power sweeps with Noda steps for the dominant eigenpair.
 
@@ -90,7 +93,7 @@ def power_iterate(
     residual's round-off floor, or on a strongly non-normal kernel) is
     followed by ``max(1, N // 3)`` sweeps, the cost of one Noda step,
     before the next one is tried. ``iterations`` counts sweeps plus Noda
-    steps, ``max_iter`` (at least 1) bounds both.
+    steps; at most 20000 are taken.
 
     Noda steps converge on periodic and on defective kernels too, so the
     verdict on those is read off the pair: after the loop, the period of
@@ -106,13 +109,11 @@ def power_iterate(
     ------
     PowerIterationError
         On a zero operator, a period above 1 (named in the message), a
-        defective dominant eigenvalue, or when ``max_iter`` iterations do
-        not reach the tolerance; the error carries the residual history.
+        defective dominant eigenvalue, or when 20000 iterations do not
+        reach the tolerance; the error carries the residual history.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if np.any(psi1.values <= 0.0):
         raise ValueError("psi1 must be strictly positive")
     K = P.kernel
@@ -129,7 +130,7 @@ def power_iterate(
     # Overflow surfaces as theta = inf (or as a nan iterate, read as theta 0.0)
     # and raises below, so numpy's own warnings would add nothing.
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(1, max_iter + 1):
+        for it in range(1, _MAX_ITER + 1):
             Pf = K @ f
             mP = m @ K
             num, denom = m @ Pf, m @ f

@@ -1,3 +1,6 @@
+import ast
+import builtins
+import importlib
 import json
 import re
 import tempfile
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import rpos
 from rpos.cli import (
     _KEYS as DECLARED,
     UsageError,
@@ -183,9 +187,8 @@ class TestReciprocalCommand:
         code = run(["reciprocal", "--config", cfg, "--out", out])
         assert code == 1
         assert capsys.readouterr().err.startswith("rpos: analysis failed")
-        for path in out.iterdir():
-            text = path.read_text()
-            assert "NaN" not in text and "Infinity" not in text
+        # a failed run writes no file, so none holds NaN or Infinity
+        assert not out.exists()
 
 
 class TestModelRunCommand:
@@ -498,6 +501,37 @@ def test_failed_write_leaves_the_earlier_run_as_it_was(tmp_path, capsys):
     assert list((out / "eq2.csv").iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "kernel, code, prefix",
+    [
+        ([[0.0, 1.0], [1.0, 0.0]], 1, "rpos: analysis failed: "),
+        ([[0.5, -0.2], [0.1, 0.6]], 2, "rpos: error: "),
+    ],
+    ids=["period-2", "negative-entry"],
+)
+def test_failed_run_leaves_no_output_directory(tmp_path, capsys, kernel, code, prefix):
+    # The output directory was made before the command ran, so both runs
+    # left an empty one behind, and a nested --out a chain of them.
+    op = write_operator(tmp_path, dict(TWO_STATE, kernel=kernel))
+    cfg = write_config(tmp_path, f"operator = {op.name}\n")
+    assert run(["spectral", "--config", cfg, "--out", tmp_path / "o" / "run"]) == code
+    assert capsys.readouterr().err.startswith(prefix)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("out", ["o", "o/run"])
+def test_output_directory_under_a_file_is_a_usage_error(tmp_path, capsys, monkeypatch, out):
+    # Refused before the command runs, as when the directory was made first.
+    op = write_operator(tmp_path, TWO_STATE)
+    cfg = write_config(tmp_path, f"operator = {op.name}\n")
+    (tmp_path / "o").write_text("kept\n")
+    monkeypatch.setattr("rpos.cli.power_iterate", None)  # a run would raise TypeError
+    assert run(["spectral", "--config", cfg, "--out", tmp_path / out]) == 2
+    err = capsys.readouterr().err
+    assert err == f"rpos: error: output {tmp_path / 'o'} exists and is not a directory\n"
+    assert (tmp_path / "o").read_text() == "kept\n"
+
+
 def test_metadata_lists_read_and_unread_keys(tmp_path):
     op = write_operator(tmp_path, TWO_STATE)
     cfg = write_config(tmp_path, f"mc.seed = 3\noperator = {op.name}\nn_max = 20\n")
@@ -522,6 +556,45 @@ def test_readme_minimal_session_runs():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     (session,) = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
     exec(compile(session, "README.md", "exec"), {})
+
+
+def defined_names(module):
+    """The names a module defines, imports, reads or takes: its attributes and
+    every name, attribute, parameter and identifier-like string in its source."""
+    names = set(dir(module)) | set(dir(builtins))
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)  # a report key or the program name
+    return names
+
+
+def test_readme_library_tour_names_only_what_exists():
+    # Each backticked name in a row of the library-tour table resolves in that
+    # row's module or is a public name of rpos. A call names its function, a
+    # dotted path its last attribute, and check_g1..g4 both ends of the
+    # range; file names and formulas name nothing.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = re.search(r"^\| module \| contents \|\n\|[- |]+\n((?:\|.*\n)+)", readme, re.M)
+    rows = re.findall(r"^\| `([\w.]+)` \| (.*) \|$", table.group(1), re.M)
+    assert len(rows) == 7
+    for module_name, contents in rows:
+        known = defined_names(importlib.import_module(module_name)) | set(dir(rpos))
+        for token in re.findall(r"`([^`]+)`", contents):
+            head = re.match(r"[A-Za-z_][\w.]*", token)
+            if head is None or re.search(r"\.(json|csv)$", token):
+                continue
+            first, *ends = head.group(0).split("..")
+            names = [first.split(".")[-1], *(first[: -len(end)] + end for end in ends)]
+            missing = [name for name in names if name not in known]
+            assert not missing, f"{module_name}: `{token}` names {missing}"
 
 
 #: The commands that run no Monte Carlo probe: config text, operator JSON (or None)

@@ -8,7 +8,6 @@ from rpos import (
     SubsetMask,
     WeightedFunction,
     apply,
-    build_psi2,
     build_psi2_auto,
     check_condition_g,
     check_g1,
@@ -61,7 +60,12 @@ class TestG1:
         psi = WeightedFunction(P.space, rng.uniform(0.3, 2.0, 12))
         K = SubsetMask.from_indices(P.space, range(8))
         res = check_g1(P, K, psi, 2)
-        M, nu_raw = res.minor_matrix, res.nu_raw
+        # M(x, j) = P_2(psi 1_{j})(x) / psi(x) by the same arithmetic as check_g1
+        idx, v = K.indices, psi.values[K.indices]
+        M = (P.kernel[idx] @ P.kernel)[:, idx] * (v[None, :] / v[:, None])
+        nu_raw = M.min(axis=0)
+        assert res.c1 == nu_raw.sum()
+        assert np.allclose(res.c1 * res.nu.masses[idx], nu_raw, rtol=1e-14, atol=0)
         for _ in range(200):
             sel = rng.random(8) < 0.5
             if not sel.any():
@@ -95,7 +99,9 @@ class TestG1:
         for res in results:
             Kn = np.linalg.matrix_power(P.kernel, res.n1)
             expect = Kn[np.ix_(idx, idx)] * (v[None, :] / v[:, None])
-            assert np.allclose(res.minor_matrix, expect, rtol=1e-12)
+            nu_raw = expect.min(axis=0)
+            assert res.c1 == pytest.approx(nu_raw.sum(), rel=1e-12)
+            assert np.allclose(res.c1 * res.nu.masses[idx], nu_raw, rtol=1e-12)
             assert res.c1 == check_g1(P, K, psi, res.n1).c1
 
     def test_rejects_bad_inputs(self, two_state):
@@ -199,27 +205,25 @@ class TestG4:
 
 class TestBuildPsi2:
     def test_zero_order_is_rescaled_indicator(self, two_state):
+        # P 1_K = (0.5, 0.1) >= 0.5 1_K: the indicator certifies itself
         K = SubsetMask.from_indices(two_state["space"], [0])
-        psi2 = build_psi2(two_state["P"], K, 0.5, 0)
+        psi2, n0 = build_psi2_auto(two_state["P"], K, 0.5, two_state["one"])
+        assert n0 == 0
         assert np.array_equal(psi2.values, [1.0, 0.0])
 
     def test_hand_example(self):
-        P = make_operator([[0.5, 0.2], [0.1, 0.4]])
+        # theta2^-1 P 1_K = (0.5, 1.0) stays below 1 on K and
+        # theta2^-2 P_2 1_K = (1.25, 1.0) does not, so n0 = 1
+        P = make_operator([[0.25, 0.5], [0.5, 0.25]])
         K = SubsetMask.from_indices(P.space, [0])
-        psi2 = build_psi2(P, K, 0.5, 1, rescale=False)
-        assert np.allclose(psi2.values, [2.0, 0.2], atol=1e-15)
+        psi1 = WeightedFunction(P.space, [3.0, 2.0])
+        psi2, n0 = build_psi2_auto(P, K, 0.5, psi1)
+        assert n0 == 1
+        # 1_K + P 1_K / 0.5 = (1.5, 1.0), divided by its sup over psi1, 0.5
+        assert np.array_equal(psi2.values, [3.0, 2.0])
         drift = apply(P, psi2).values
-        assert np.allclose(drift, [1.04, 0.28], atol=1e-15)
+        assert np.array_equal(drift, [1.75, 2.0])
         assert np.all(drift >= 0.5 * psi2.values)
-
-    def test_converges_to_dominant_direction(self, rng):
-        P = make_operator(random_kernel(rng, 10))
-        theta, eta_vals, _, _ = perron_oracle(P.kernel)
-        K = SubsetMask.from_indices(P.space, range(4))
-        psi2 = build_psi2(P, K, 0.7 * theta, 80, rescale=False)
-        direction = psi2.values / np.max(psi2.values)
-        target = eta_vals / np.max(eta_vals)
-        assert np.allclose(direction, target, rtol=1e-6)
 
     def test_auto_search_self_certifies(self, rng):
         for _ in range(5):
@@ -231,22 +235,30 @@ class TestBuildPsi2:
             psi2, n0 = build_psi2_auto(P, K, theta2, psi1)
             res = check_g2(P, K, psi1, psi2)
             assert res.theta2 >= theta2 * (1 - 1e-12)
-            direct = build_psi2(P, K, theta2, n0, psi1)
-            assert np.array_equal(psi2.values, direct.values)
+            # the series sum_{k <= n0} theta2^-k P_k 1_K, divided by its sup over psi1
+            term, series = K.member.astype(float), 0.0
+            for _ in range(n0 + 1):
+                series = series + term
+                term = P.kernel @ term / theta2
+            assert np.min(term[K.indices]) >= 1.0
+            direct = series / np.max(series / psi1.values)
+            assert np.array_equal(psi2.values, direct)
 
     def test_rate_above_dominant_value_exhausts(self, rng):
         P = make_operator(random_kernel(rng, 6))
         theta, _, _, _ = perron_oracle(P.kernel)
         K = SubsetMask.from_indices(P.space, range(2))
         with pytest.raises(SeriesDivergenceError) as err:
-            build_psi2_auto(P, K, 1.5 * theta, n0_max=80)
+            build_psi2_auto(P, K, 1.5 * theta, ones(P))
         assert err.value.reason == "exhausted"
 
-    def test_tiny_rate_overflows_with_diagnostics(self, rng):
-        P = make_operator(random_kernel(rng, 6))
-        K = SubsetMask.from_indices(P.space, range(2))
+    def test_tiny_rate_overflows_with_diagnostics(self):
+        # state 1 of K is killed, so the search never certifies while the
+        # return mass of state 0 grows by 1e30 a step
+        P = make_operator([[1.0, 0.0], [0.0, 0.0]])
+        K = full_mask(P)
         with pytest.raises(SeriesDivergenceError) as err:
-            build_psi2(P, K, 1e-30, 12)
+            build_psi2_auto(P, K, 1e-30, ones(P))
         assert err.value.reason == "overflow"
         assert len(err.value.term_ratios) >= 1
 

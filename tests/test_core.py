@@ -33,7 +33,7 @@ class TestStateSpace:
 
     def test_flat_points_become_1d(self):
         sp = StateSpace([0.0, 1.0, 2.0], [1.0, 1.0, 1.0])
-        assert sp.dim == 1 and sp.size == 3
+        assert sp.points.shape[1] == 1 and sp.size == 3
 
     def test_immutable(self):
         sp = unit_space(3)

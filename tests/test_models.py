@@ -499,6 +499,40 @@ class TestDiffusion:
         assert abs(rep.discrepancy - ref) <= 1e-9 * ref
 
 
+def skeleton_lambda0(b, L, grid_n, dim=1):
+    fam = build_diffusion_generator(small_diffusion(b, "const:0", L, dim=dim, grid_n=grid_n))
+    return skeleton_analysis(fam.step, fam.at_t0, fam.n_substeps, fam.psi).lambda0
+
+
+class TestClosedFormOracles:
+    @pytest.mark.parametrize(
+        "v, L, grid_n, dim",
+        [(0.5, 5.0, 200, 1), (0.5, 5.0, 400, 1), (0.5, 5.0, 28, 2),
+         (-0.7, 4.0, 100, 1), (-0.7, 4.0, 20, 2)],
+    )
+    def test_constant_drift_matches_the_exact_stencil_eigenvalue(self, v, L, grid_n, dim):
+        # The central stencil of a constant drift v on (0, L) is tridiagonal
+        # Toeplitz on each axis, with top eigenvalue
+        # -1/h^2 + 2 sqrt(up down) cos(pi / (n + 1)); the product box adds
+        # dim of them. The uniformized exponential is off by up to 5e-10.
+        h = L / (grid_n + 1)
+        up, down = 0.5 / h**2 + v / (2 * h), 0.5 / h**2 - v / (2 * h)
+        exact = dim * (-1 / h**2 + 2 * np.sqrt(up * down) * np.cos(np.pi / (grid_n + 1)))
+        assert skeleton_lambda0(f"const:{v}", L, grid_n, dim) == pytest.approx(exact, rel=1e-9)
+
+    def test_killed_ou_converges_at_second_order(self):
+        # 1/2 f'' + (1 - x) f' on (0, inf), killed at 0, has top eigenvalue
+        # -nu with D_nu(-sqrt 2) = 0 (parabolic cylinder function, Abramowitz
+        # and Stegun ch. 19); the wall at L = 12 moves it by about e^-121.
+        import mpmath
+
+        nu = float(mpmath.findroot(lambda x: mpmath.pcfd(x, -mpmath.sqrt(2)), 0.2))
+        assert nu == pytest.approx(0.2342338717, abs=1e-10)
+        errors = [skeleton_lambda0("affine:1,-1", 12.0, n) + nu for n in (200, 400, 800)]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.5 <= coarse / fine <= 4.5
+
+
 class TestMonteCarlo:
     def test_conservative_walk_is_exactly_one(self):
         model = small_pds(F=vector_field("zero", 1))
@@ -525,7 +559,7 @@ class TestMonteCarlo:
         est = mc_feynman_kac(
             model, [0.0], 1, lambda y: np.ones(y.shape[0]), 200, seed=3
         )
-        assert est.all_killed
+        assert est.n_killed == est.n_traj
         assert est.value == 0.0 and est.std_error == 0.0
 
     def test_pds_mc_matches_grid_iterates(self, rng):
@@ -630,5 +664,5 @@ class TestMonteCarlo:
             args = ([0.5], 60, one, 2000, 7, 0.01)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             est = mc_feynman_kac(model, *args)
-        assert est.all_killed
+        assert est.n_killed == est.n_traj
         assert est.value == 0.0 and est.std_error == 0.0

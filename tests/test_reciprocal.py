@@ -95,7 +95,7 @@ class TestFindDrift:
         level = WeightedFunction(sub, inp.psi.values / t.eta.values)
         nu_R = Measure(sub, t.eta.values * t.nu_P.density)
         res = find_drift(v0, H.transformed, 0.9, level, nu_R)
-        assert res.full_space and not res.passed
+        assert res.K.member.all() and not res.passed
         assert res.C_R == pytest.approx(0.225, abs=1e-12)
         assert res.n2 == 0
         assert res.K.count == 2
@@ -120,7 +120,7 @@ class TestFindDrift:
                 break
         assert best is not None
         assert np.array_equal(res.K.member, best)
-        assert not res.full_space
+        assert not res.K.member.all()
 
     def test_rejects_bad_rho(self, two_state):
         inp, t = reciprocal_input(two_state["P"])
