@@ -9,8 +9,10 @@ read off the support graph and the pair, not off non-convergence.
 ``measure_eq1_eq2`` walks the masses mu P_n once and reads off both the
 ratio profile of eq1 and the theta0-normalized profile of eq2;
 ``measure_eq3`` evolves the whole kernel, normalized by the triple, for
-the uniform eq3 profile. Each fits a geometric envelope in
-``_fit_geometric``, the one place a verdict is decided.
+the uniform eq3 profile: at the kernel's numerical rank r, one SVD and
+then N^2 r flops a step; at full rank, the dense N^3 orbit. Each fits a
+geometric envelope in ``_fit_geometric``, the one place a verdict is
+decided.
 ``skeleton_analysis`` assembles the continuous-time conclusions from a
 semigroup's step P_delta and its n-th power P_t0, walking the eq1/eq2
 masses under the step with the same function, ``_eq1_eq2``.
@@ -20,13 +22,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
 from .core import (
     ROUNDOFF_REL,
     Measure,
+    NonFiniteError,
     SpaceMismatchError,
     TransferOperator,
     WeightedFunction,
@@ -443,18 +446,74 @@ def measure_eq3(
     probes ``+-psi 1_{j}`` determine every such f by linearity, so the
     supremum is the psi-weighted L1 row norm of the difference between the
     normalized n-step kernel and its rank-one limit.
+
+    The differences come from ``_eq3_differences``. Raises NonFiniteError
+    naming the step and the row of the first non-finite difference.
     """
     if np.any(psi.values <= 0.0):
         raise ValueError("psi must be strictly positive")
-    theta0 = triple.theta0
-    target = np.outer(triple.eta.values, triple.nu_P.masses)
-    # K @ I == K bit for bit, so the orbit starts at K / theta0 and skips that product
-    steps = islice(orbit(P.kernel, P.kernel / theta0, theta0), n_max)
-    kernels = chain([np.eye(P.space.size)], steps)
-    zeta = np.array(
-        [np.max((np.abs(M - target) @ psi.values) / psi.values) for M in kernels]
-    )
+    p = psi.values
+    zeta = np.empty(n_max + 1)
+    # A non-finite difference surfaces as a non-finite zeta_n and raises
+    # below, so numpy's own overflow warnings would add nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, D in enumerate(islice(_eq3_differences(P.kernel, triple), n_max + 1)):
+            rows = (np.abs(D, out=D) @ p) / p
+            zeta[n] = np.max(rows)
+            if not np.isfinite(zeta[n]):
+                row = int(np.flatnonzero(~np.isfinite(rows))[0])
+                raise NonFiniteError(f"eq3 step {n} is non-finite at row {row}", row, n)
     return _fit_geometric("eq3", np.arange(n_max + 1), zeta, 1.0)
+
+
+def _eq3_differences(K, triple):
+    """Yield theta0^-n K^n - eta nu_P for n = 0, 1, ..., all in one N x N work array.
+
+    The caller may overwrite each yielded array. Let r be the number of
+    singular values of K above N eps sigma1 (``np.linalg.matrix_rank``'s
+    cut). When r (N + r) < N^2, K is taken as U_r diag(s_r) V_r^T and the
+    difference is ``left @ right_n`` with left = [U_r diag(s_r) / theta0 |
+    eta] and right_n = [C^(n-1) V_r^T; -nu_P], C = V_r^T U_r diag(s_r) /
+    theta0: one N x (r+1) x N product a step. Otherwise, or when the SVD
+    does not converge, the dense orbit of K / theta0 is taken, N^3 a step.
+    """
+    theta0, eta, nu = triple.theta0, triple.eta.values, triple.nu_P.masses
+    N = K.shape[0]
+    factors = _low_rank(K, theta0, eta)  # before the work array: less peak memory
+    buf = np.outer(eta, -nu)
+    buf.flat[:: N + 1] += 1.0  # n = 0: I - eta nu_P, bit for bit
+    yield buf
+    if factors is None:
+        target = np.outer(eta, nu)
+        # K @ I == K bit for bit, so the orbit starts at K / theta0 and skips that product
+        for M in orbit(K, K / theta0, theta0):
+            yield np.subtract(M, target, out=buf)
+    else:
+        left, top, C = factors
+        right = np.vstack([top, -nu])
+        for R in orbit(C, top):  # C^(n-1) V_r^T
+            right[:-1] = R
+            yield np.matmul(left, right, out=buf)
+
+
+def _low_rank(K, theta0, eta):
+    """``left``, V_r^T and C of ``_eq3_differences``, or None.
+
+    None when K has numerical rank r with r (N + r) >= N^2, where the
+    factored step costs more than the dense one, or when the SVD does not
+    converge.
+    """
+    N = K.shape[0]
+    try:
+        U, s, Vt = np.linalg.svd(K)
+    except np.linalg.LinAlgError:
+        return None
+    r = int(np.count_nonzero(s > N * np.finfo(float).eps * s[0]))
+    if r * (N + r) >= N * N:
+        return None
+    scale = s[:r] / theta0
+    left = np.column_stack([U[:, :r] * scale, eta])
+    return left, Vt[:r].copy(), (Vt[:r] @ U[:, :r]) * scale  # no view keeps U or Vt
 
 
 @dataclass(frozen=True, eq=False)

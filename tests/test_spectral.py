@@ -3,13 +3,16 @@ import pytest
 
 from rpos import (
     Measure,
+    NonFiniteError,
     PdsModel,
     PowerIterationError,
+    ReciprocalInput,
     SpaceMismatchError,
     SpectralTriple,
     TransferOperator,
     WeightedFunction,
     build_pds_kernel,
+    certify,
     measure_eq1_eq2,
     measure_eq3,
     power_iterate,
@@ -19,6 +22,7 @@ from rpos import (
 )
 
 from rpos.cli import _csv, _plain
+from rpos.core import ROUNDOFF_REL
 from rpos.spectral import _MAX_ITER, _fit_geometric, half_probe
 
 from conftest import make_operator, perron_oracle, random_kernel, unit_space
@@ -404,6 +408,11 @@ def boxed_map_kernel(grid_n):
     return build_pds_kernel(model).operator
 
 
+def walk_kernel(n):
+    """Walk on n sites, stay 0.35, step 0.3 each way, killed off both ends: full rank."""
+    return 0.35 * np.eye(n) + 0.3 * (np.eye(n, k=1) + np.eye(n, k=-1))
+
+
 class TestMeasureEq3:
     def test_rank_one_kernel_converges_in_one_step(self, two_state):
         eta, nu = two_state["eta"], two_state["nu_P"]
@@ -429,28 +438,87 @@ class TestMeasureEq3:
     @pytest.mark.parametrize("grid_n", [200, 300, 400])
     def test_boxed_map_kernel_passes_on_its_plateau(self, grid_n, n_max):
         # zeta reaches the round-off plateau inside the fit window; where on
-        # the plateau the horizon ends must not decide the verdict.
+        # the plateau the horizon ends must not decide the verdict, nor
+        # whether the profile came from the low-rank factors or the dense orbit
         P = boxed_map_kernel(grid_n)
         psi = WeightedFunction.ones(P.space)
         t = power_iterate(P, psi, tol=1e-12)
         rep = measure_eq3(P, t, psi, n_max)
         assert rep.passed
+        dense = dense_zeta(P, t, psi, n_max)
+        assert _fit_geometric("eq3", np.arange(n_max + 1), dense, 1.0).passed
+        certs = [
+            certify(ReciprocalInput(P, psi, t.eta, t.theta0, zeta, t.nu_P))
+            for zeta in (rep.errors, dense)
+        ]
+        for name in ("stage", "m", "lam", "rho", "d", "C_R"):
+            assert getattr(certs[0], name) == getattr(certs[1], name), name
+        assert np.array_equal(certs[0].K.member, certs[1].K.member)
 
     @pytest.mark.parametrize("grid_n", [300, 401])
     def test_profile_equals_the_identity_seeded_orbit(self, grid_n):
-        # the orbit starts at K / theta0: K @ I == K bit for bit, so zeta
-        # keeps every bit of the loop that multiplied the identity first
+        # the orbit starts at K / theta0: K @ I == K bit for bit, so on a
+        # full-rank kernel zeta keeps every bit of the loop that multiplied
+        # the identity first
+        rng = np.random.default_rng(grid_n)
+        for K in (walk_kernel(grid_n), random_kernel(rng, grid_n)):
+            assert np.linalg.matrix_rank(K) == grid_n
+            P = make_operator(K)
+            psi = WeightedFunction(P.space, rng.uniform(0.5, 2.0, grid_n))
+            t = power_iterate(P, psi, tol=1e-12)
+            rep = measure_eq3(P, t, psi, 12)
+            assert np.array_equal(rep.errors, dense_zeta(P, t, psi, 12))
+
+    @pytest.mark.parametrize("grid_n", [300, 401])
+    def test_low_rank_profile_matches_the_dense_orbit(self, grid_n):
+        # a boxed map kernel has numerical rank r with r (N + r) < N^2, so its
+        # profile comes from the rank-r factors; it must agree with the dense
+        # orbit and with matrix powers to the fit's round-off floor
         P = boxed_map_kernel(grid_n)
+        r = np.linalg.matrix_rank(P.kernel)
+        assert r * (grid_n + r) < grid_n**2
         psi = WeightedFunction.ones(P.space)
         t = power_iterate(P, psi, tol=1e-12)
-        rep = measure_eq3(P, t, psi, 12)
+        zeta = measure_eq3(P, t, psi, 40).errors
+        floor = ROUNDOFF_REL * zeta[0]
+        assert np.max(np.abs(zeta - dense_zeta(P, t, psi, 40))) <= floor
         target = np.outer(t.eta.values, t.nu_P.masses)
-        M, zeta = np.eye(grid_n), []
-        for _ in range(13):
-            zeta.append(np.max((np.abs(M - target) @ psi.values) / psi.values))
-            M = P.kernel @ M
-            M /= t.theta0
-        assert np.array_equal(rep.errors, zeta)
+        for n in (1, 8, 32):
+            Kn = np.linalg.matrix_power(P.kernel / t.theta0, n)
+            assert abs(zeta[n] - np.max(np.abs(Kn - target).sum(axis=1))) <= floor
+
+    def test_svd_that_does_not_converge_takes_the_dense_orbit(self, monkeypatch):
+        P = boxed_map_kernel(200)
+        psi = WeightedFunction.ones(P.space)
+        t = power_iterate(P, psi, tol=1e-12)
+
+        def no_convergence(_a):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        rep = measure_eq3(P, t, psi, 30)
+        assert np.array_equal(rep.errors, dense_zeta(P, t, psi, 30))
+
+    @pytest.mark.parametrize("kernel", ["boxed", "walk"])
+    def test_overflowing_profile_is_non_finite(self, kernel):
+        P = boxed_map_kernel(200) if kernel == "boxed" else make_operator(walk_kernel(50))
+        psi = WeightedFunction.ones(P.space)
+        t = power_iterate(P, psi, tol=1e-12)
+        tiny = SpectralTriple(1e-300, t.eta, t.nu_P, 0.0, 0.0, 0)
+        with pytest.raises(NonFiniteError) as err:
+            measure_eq3(P, tiny, psi, 10)
+        assert err.value.step is not None and err.value.index is not None
+
+
+def dense_zeta(P, t, psi, n_max):
+    """zeta_0..zeta_n_max from the dense identity-seeded orbit, the reference."""
+    target = np.outer(t.eta.values, t.nu_P.masses)
+    M, zeta = np.eye(P.space.size), []
+    for _ in range(n_max + 1):
+        zeta.append(np.max((np.abs(M - target) @ psi.values) / psi.values))
+        M = P.kernel @ M
+        M /= t.theta0
+    return np.array(zeta)
 
 
 class TestFitGeometric:
