@@ -197,9 +197,9 @@ def load_operator_bundle(path: Path):
     """Operator JSON plus optional weight/subset companions.
 
     The operator layout, as ``_operator_json`` writes it, is {"points",
-    "ref_weights", "kernel", "step_label"}; "step_label" defaults to 1.
-    Optional extra fields: "psi1", "psi2", "psi" (value lists) and "K"
-    (index list).
+    "ref_weights", "kernel"}. Optional extra fields: "psi1", "psi2", "psi"
+    (value lists) and "K" (index list). Any other field, such as the
+    "step_label" older files carry, is not read.
     """
     try:
         data = json.loads(_read_text(path, "operator JSON"))
@@ -210,7 +210,7 @@ def load_operator_bundle(path: Path):
             if key not in data:
                 raise KeyError(f"operator JSON is missing field '{key}'")
         space = StateSpace(data["points"], data["ref_weights"])
-        op = TransferOperator(space, data["kernel"], step_label=data.get("step_label", 1))
+        op = TransferOperator(space, data["kernel"])
     except (KeyError, ValueError, TypeError, NonFiniteError) as err:
         raise UsageError(f"malformed operator JSON {path}: {err}") from err
     bundle = {"operator": op}
@@ -377,7 +377,7 @@ def cmd_model_run(cfg):
 def cmd_skeleton(cfg):
     model = diffusion_from_config(cfg)
     fam = build_diffusion_generator(model, n_substeps=cfg["skeleton.substeps"])
-    sk = skeleton_analysis(fam.step, fam.at_t0, fam.n_substeps, fam.psi)
+    sk = skeleton_analysis(fam.step, fam.n_substeps, model.t0, fam.psi)
     gir = girsanov_check(fam)
     report = {"skeleton": _plain(sk), "girsanov": _plain(gir)}
     files = {"eq1cont.csv": _csv(sk.eq1), "eq2cont.csv": _csv(sk.eq2)}
@@ -480,8 +480,7 @@ def _operator_json(op: TransferOperator) -> str:
         out.append(f'\n  "{key}": ')
         _encode_floats(array, "\n  ", out)
         out.append(",")
-    # One join: concatenating to the joined text would copy the whole file.
-    out.append(f'\n  "step_label": {json.dumps(op.step_label)}\n}}\n')
+    out[-1] = "\n}\n"  # no comma after the last array
     return "".join(out)
 
 

@@ -22,8 +22,7 @@ import numpy as np
 
 #: Relative size below which a quantity is round-off: the floor of every
 #: convergence fit, the slack of the pointwise and row-mass comparisons, the
-#: support threshold of the h-transform, the Poisson tail cut-off and the
-#: tolerance of the skeleton's step-label check.
+#: support threshold of the h-transform and the Poisson tail cut-off.
 ROUNDOFF_REL = 1e-12
 
 
@@ -203,13 +202,10 @@ class TransferOperator:
 
     Entry (i, j) is the density of mass sent from point i to point j times
     ref_weight(j), so the row action on a function is a plain weighted sum.
-    ``step_label`` counts the elementary steps this operator represents
-    (an integer, or a real time-length for continuous-time skeletons).
     """
 
     space: StateSpace
     kernel: np.ndarray
-    step_label: float = 1
 
     def __post_init__(self):
         k = np.array(self.kernel, dtype=float)

@@ -10,13 +10,15 @@ strictly positive (the minorization and aperiodicity checks rely on that).
 The diffusion model is ``dX = b(X) dt + dB`` on the positive orthant with a
 potential r and killing at the boundary and at the truncation box; its
 generator is a central finite-difference matrix exponentiated by
-uniformization, which preserves nonnegativity exactly.
+uniformization, which preserves nonnegativity exactly, to one skeleton step
+P_delta: ``skeleton_analysis`` powers it to P_t0 and ``girsanov_check``
+applies it to a vector.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, NamedTuple
 
@@ -32,6 +34,7 @@ from .condition_g import (
 from .core import (
     ROUNDOFF_REL,
     Measure,
+    NonFiniteError,
     StateSpace,
     SubsetMask,
     TransferOperator,
@@ -44,7 +47,6 @@ from .spectral import (
     measure_eq1_eq2,
     power_iterate,
 )
-from .transforms import tilt_submarkov
 
 
 class GridCoverageError(ValueError):
@@ -248,7 +250,7 @@ def build_pds_kernel(model: PdsModel) -> PdsKernel:
     psi1 = WeightedFunction(space, np.exp(model.a * np.linalg.norm(pts, axis=1)))
     psi1_leak = psi_tail / psi1.values
     return PdsKernel(
-        operator=TransferOperator(space, kernel, step_label=1),
+        operator=TransferOperator(space, kernel),
         psi1=psi1,
         row_leak=row_leak,
         psi1_leak=psi1_leak,
@@ -297,12 +299,6 @@ class DiffusionModel:
     @property
     def h(self) -> float:
         return self.L / (self.grid_n + 1)
-
-
-def _diffusion_space(model: DiffusionModel) -> StateSpace:
-    h = model.h
-    pts = _mesh([h * np.arange(1, model.grid_n + 1)] * model.dim)
-    return StateSpace(pts, np.full(pts.shape[0], h**model.dim))
 
 
 def _assemble_generator(model, space, drift, kill, name):
@@ -398,14 +394,13 @@ def _halved_exponential(A: np.ndarray, t: float) -> tuple[np.ndarray, int]:
 
 @dataclass(frozen=True, eq=False)
 class DiffusionFamily:
-    """The skeleton of the discretized killed diffusion: its step and P_t0,
-    both on the grid ``step.space``."""
+    """The skeleton of the discretized killed diffusion: its step, on the grid
+    ``step.space``, and the number of steps to ``model.t0``."""
 
     model: DiffusionModel
     generator: np.ndarray
-    #: S = P_delta at delta = t0 / n_substeps, and P_t0 = S^n_substeps
+    #: S = P_delta at delta = t0 / n_substeps; P_t0 = S^n_substeps
     step: TransferOperator
-    at_t0: TransferOperator
     n_substeps: int
     psi: WeightedFunction
     #: the shifted-drift generator and the tilt rate a of ``girsanov_check``
@@ -419,14 +414,14 @@ def build_diffusion_generator(
     """Discretize the generator and exponentiate it to a skeleton step.
 
     The step S = P_delta is one uniformized exponential at delta =
-    t0 / n_substeps, labeled with that time, and P_t0 = S^n_substeps, labeled
-    t0, is its power by binary powering (floor(log2 n) + popcount(n) - 1
-    dense products), so both satisfy the semigroup identity to round-off and
-    are entrywise nonnegative. The stencil of ``girsanov_check`` is assembled
-    too, before the exponential, so a mesh too coarse for either fails at
-    once.
+    t0 / n_substeps, entrywise nonnegative; ``skeleton_analysis`` powers it
+    to P_t0 and ``girsanov_check`` applies it n_substeps times. The stencil
+    of ``girsanov_check`` is assembled too, before the exponential, so a
+    mesh too coarse for either fails at once.
     """
-    space = _diffusion_space(model)
+    h = model.h
+    nodes = _mesh([h * np.arange(1, model.grid_n + 1)] * model.dim)
+    space = StateSpace(nodes, np.full(nodes.shape[0], h**model.dim))
     pts = space.points
     drift = np.asarray(model.b(pts), dtype=float).reshape(space.size, model.dim)
     r_vals = np.asarray(model.r(pts), dtype=float)
@@ -434,13 +429,9 @@ def build_diffusion_generator(
     a = model.dim / 2.0 + float(np.max(r_vals + drift.sum(axis=1)))
     kappa = a - r_vals - model.dim / 2.0 - drift.sum(axis=1)
     A_bar = _assemble_generator(model, space, drift + 1.0, kappa, "Girsanov drift b + 1")
-    times = np.linspace(0.0, model.t0, n_substeps + 1).tolist()
-    step = TransferOperator(space, uniformized_exponential(A, times[1]), step_label=times[1])
-    at_t0 = TransferOperator(
-        space, np.linalg.matrix_power(step.kernel, n_substeps), step_label=times[-1]
-    )
+    step = TransferOperator(space, uniformized_exponential(A, model.t0 / n_substeps))
     psi = WeightedFunction(space, np.exp(pts.sum(axis=1)))
-    return DiffusionFamily(model, A, step, at_t0, n_substeps, psi, A_bar, a)
+    return DiffusionFamily(model, A, step, n_substeps, psi, A_bar, a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -460,19 +451,29 @@ class GirsanovReport:
 def girsanov_check(family: DiffusionFamily) -> GirsanovReport:
     """Cross-check the exp(sum x) tilt against the shifted-drift build.
 
-    Tilting the t0 operator of ``family`` by psi = exp(sum_i x_i) with
-    normalizer ``exp(a t0)``, a = d/2 + sup(r + sum_i b_i), must agree with
-    the direct discretization of the diffusion with drift 1 + b killed at
-    rate ``kappa = a - r - d/2 - sum_i b_i >= 0``, up to mesh error. Only their
-    action on the constant function is compared, so the direct exponential's
-    halved step is applied 2^h times to the ones vector, not squared h times.
+    Tilting P_t0 = S^n by psi = exp(sum_i x_i) with normalizer
+    ``c = exp(a t0)``, a = d/2 + sup(r + sum_i b_i), must agree with the
+    direct discretization of the diffusion with drift 1 + b killed at rate
+    ``kappa = a - r - d/2 - sum_i b_i >= 0``, up to mesh error. Only their
+    action on the constant function is compared: the tilt's is
+    S^n psi / (c psi), the row masses of ``tilt_submarkov``, with the step
+    applied n times to psi, and the direct exponential's halved step is
+    applied 2^h times to the ones vector, not squared h times. A normalizer
+    outside the float range raises NonFiniteError naming a t0.
     """
     model = family.model
+    at0 = family.a * model.t0
+    try:
+        c = math.exp(at0)
+    except OverflowError:
+        c = math.inf
+    if not 0.0 < c < math.inf:
+        raise NonFiniteError(f"Girsanov normalizer exp(a t0) is {c} at a t0 = {at0:.6g}")
     step, halvings = _halved_exponential(family.shifted_generator, model.t0)
-    ones = np.ones(family.step.space.size)
-    direct = next(islice(orbit(step, ones), 2**halvings, None))
-    tilt = tilt_submarkov(family.at_t0, family.psi, c=math.exp(family.a * model.t0))
-    disc = float(np.max(np.abs(tilt.tilted.kernel @ ones - direct)))
+    psi = family.psi.values
+    direct = next(islice(orbit(step, np.ones(psi.size)), 2**halvings, None))
+    tilted = next(islice(orbit(family.step.kernel, psi), family.n_substeps, None)) / (c * psi)
+    disc = float(np.max(np.abs(tilted - direct)))
     return GirsanovReport(discrepancy=disc, a=family.a, t0=model.t0, h=model.h)
 
 
@@ -588,7 +589,7 @@ def _freeze_killed(old, new, alive, keep):
 
 @dataclass(frozen=True, eq=False)
 class HypothesisReport:
-    """Boundary-shell diagnostics for the model growth conditions.
+    """Boundary-shell diagnostics for the map model's growth conditions.
 
     Diagnostic only: the conditions are sufficient, not necessary, so a
     non-diverging profile is a warning rather than a failure.
@@ -599,63 +600,50 @@ class HypothesisReport:
     shell_values: np.ndarray
     diverging: bool
     warnings: list
-    details: dict = field(default_factory=dict)
+    details: dict
 
 
 #: Number of radius shells the growth diagnostics are read on.
 _N_SHELLS = 8
 
 
-def check_hypotheses(model) -> HypothesisReport:
-    """Evaluate the growth certificates on eight radius shells of the grid.
+def check_hypotheses(model: PdsModel) -> HypothesisReport:
+    """Evaluate the map model's growth certificates on eight radius shells of the grid.
 
-    Map model: shell minima of ``|x| - p |F(x)|`` must trend upward (the
-    drift escapes any penalty growth); also fits the envelope constant for
-    G and reports the local bound on 1/G. Diffusion model: shell maxima of
-    ``r + sum_i b_i`` must trend downward.
+    Shell minima of ``|x| - p |F(x)|`` must trend upward (the drift escapes
+    any penalty growth); also fits the envelope constant for G and reports
+    the local bound on 1/G. Any other model type is a TypeError.
     """
-    if isinstance(model, PdsModel):
-        pts, _ = _grid_points(model)
-        radius = np.linalg.norm(pts, axis=1)
-        Fx = np.asarray(model.F(pts), dtype=float).reshape(pts.shape[0], model.dim)
-        s = radius - model.p * np.linalg.norm(Fx, axis=1)
-        g_vals = np.asarray(model.G(pts), dtype=float)
-        env = float(np.max(g_vals * np.exp(-radius)))
-        nodes, wts = np.polynomial.hermite.hermgauss(32)
-        # E[e^{(1+a)|xi|}] per coordinate via Gauss-Hermite, xi ~ N(0, sd^2)
-        z = math.sqrt(2.0) * model.noise_sd * nodes
-        moment = float(np.sum(wts * np.exp((1.0 + model.a) * np.abs(z))) / math.sqrt(math.pi)) ** model.dim
-        kind, up = "pds", True
-        warning = "|x| - p|F(x)| does not diverge on the grid shells"
-        details = {
-            "penalty_envelope_C": env,
-            "sup_inv_G": float(np.max(1.0 / g_vals)),
-            "C_prime": env * moment,
-        }
-    elif isinstance(model, DiffusionModel):
-        pts = _diffusion_space(model).points
-        radius = np.linalg.norm(pts, axis=1)
-        drift = np.asarray(model.b(pts), dtype=float).reshape(pts.shape[0], model.dim)
-        s = np.asarray(model.r(pts), dtype=float) + drift.sum(axis=1)
-        kind, up = "diffusion", False
-        warning = "r + sum b_i does not diverge to -inf on the grid shells"
-        details = {"a": model.dim / 2.0 + float(np.max(s))}
-    else:
+    if not isinstance(model, PdsModel):
         raise TypeError(f"unsupported model type {type(model).__name__}")
-    # Each shell is read at its worst point: its least s where s must rise, else its largest.
-    radii, values = _shell_profile(radius, s, np.min if up else np.max)
-    diverging = _trending(values, up)
+    pts, _ = _grid_points(model)
+    radius = np.linalg.norm(pts, axis=1)
+    Fx = np.asarray(model.F(pts), dtype=float).reshape(pts.shape[0], model.dim)
+    s = radius - model.p * np.linalg.norm(Fx, axis=1)
+    g_vals = np.asarray(model.G(pts), dtype=float)
+    env = float(np.max(g_vals * np.exp(-radius)))
+    nodes, wts = np.polynomial.hermite.hermgauss(32)
+    # E[e^{(1+a)|xi|}] per coordinate via Gauss-Hermite, xi ~ N(0, sd^2)
+    z = math.sqrt(2.0) * model.noise_sd * nodes
+    moment = float(np.sum(wts * np.exp((1.0 + model.a) * np.abs(z))) / math.sqrt(math.pi)) ** model.dim
+    radii, values = _shell_minima(radius, s)
+    diverging = _rising(values)
     return HypothesisReport(
-        kind=kind,
+        kind="pds",
         shell_radii=radii,
         shell_values=values,
         diverging=diverging,
-        warnings=[] if diverging else [warning],
-        details=details,
+        warnings=[] if diverging else ["|x| - p|F(x)| does not diverge on the grid shells"],
+        details={
+            "penalty_envelope_C": env,
+            "sup_inv_G": float(np.max(1.0 / g_vals)),
+            "C_prime": env * moment,
+        },
     )
 
 
-def _shell_profile(radii, values, reducer):
+def _shell_minima(radii, values):
+    """Each shell's outer radius and its worst (least) value."""
     edges = np.quantile(radii, np.linspace(0.0, 1.0, _N_SHELLS + 1))
     outs_r, outs_v = [], []
     for k in range(_N_SHELLS):
@@ -665,18 +653,15 @@ def _shell_profile(radii, values, reducer):
         if not mask.any():
             continue
         outs_r.append(edges[k + 1])
-        outs_v.append(reducer(values[mask]))
+        outs_v.append(np.min(values[mask]))
     return np.asarray(outs_r), np.asarray(outs_v)
 
 
-def _trending(values, up: bool) -> bool:
+def _rising(values) -> bool:
     if values.size < 2:
         return False
-    half = values[values.size // 2 :]
-    diffs = np.diff(half)
-    if up:
-        return bool(np.all(diffs > 0.0) and values[-1] > values[0])
-    return bool(np.all(diffs < 0.0) and values[-1] < values[0])
+    diffs = np.diff(values[values.size // 2 :])
+    return bool(np.all(diffs > 0.0) and values[-1] > values[0])
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ then N^2 r flops a step; at full rank, the dense N^3 orbit. Each fits a
 geometric envelope in ``_fit_geometric``, the one place a verdict is
 decided.
 ``skeleton_analysis`` assembles the continuous-time conclusions from a
-semigroup's step P_delta and its n-th power P_t0, walking the eq1/eq2
+semigroup's step P_delta, the number n of steps to t0 and t0 itself: it
+powers the step to P_t0 = P_delta^n for the triple and walks the eq1/eq2
 masses under the step with the same function, ``_eq1_eq2``.
 """
 
@@ -30,7 +31,6 @@ from .core import (
     ROUNDOFF_REL,
     Measure,
     NonFiniteError,
-    SpaceMismatchError,
     TransferOperator,
     WeightedFunction,
     orbit,
@@ -448,7 +448,8 @@ def measure_eq3(
     normalized n-step kernel and its rank-one limit.
 
     The differences come from ``_eq3_differences``. Raises NonFiniteError
-    naming the step and the row of the first non-finite difference.
+    naming the step n and the first non-finite row, of the difference or of
+    the iterate that overflowed before it, on either branch alike.
     """
     if np.any(psi.values <= 0.0):
         raise ValueError("psi must be strictly positive")
@@ -457,13 +458,19 @@ def measure_eq3(
     # A non-finite difference surfaces as a non-finite zeta_n and raises
     # below, so numpy's own overflow warnings would add nothing.
     with np.errstate(over="ignore", invalid="ignore"):
-        for n, D in enumerate(islice(_eq3_differences(P.kernel, triple), n_max + 1)):
-            rows = (np.abs(D, out=D) @ p) / p
-            zeta[n] = np.max(rows)
-            if not np.isfinite(zeta[n]):
-                row = int(np.flatnonzero(~np.isfinite(rows))[0])
-                raise NonFiniteError(f"eq3 step {n} is non-finite at row {row}", row, n)
-    return _fit_geometric("eq3", np.arange(n_max + 1), zeta, 1.0)
+        try:
+            for n, D in enumerate(islice(_eq3_differences(P.kernel, triple), n_max + 1)):
+                rows = (np.abs(D, out=D) @ p) / p
+                zeta[n] = np.max(rows)
+                if not np.isfinite(zeta[n]):
+                    row = int(np.flatnonzero(~np.isfinite(rows))[0])
+                    break
+            else:
+                return _fit_geometric("eq3", np.arange(n_max + 1), zeta, 1.0)
+        except NonFiniteError as err:
+            # Both orbits of _eq3_differences start at n = 1: orbit step k is eq3 step k + 1.
+            n, row = err.step + 1, err.index
+    raise NonFiniteError(f"eq3 step {n} is non-finite at row {row}", row, n)
 
 
 def _eq3_differences(K, triple):
@@ -518,7 +525,7 @@ def _low_rank(K, theta0, eta):
 
 @dataclass(frozen=True, eq=False)
 class SkeletonReport:
-    """Continuous-time conclusions assembled from a skeleton step and P_t0."""
+    """Continuous-time conclusions assembled from a skeleton step and its power P_t0."""
 
     lambda0: float
     c_bar: float
@@ -550,14 +557,14 @@ _SKELETON_PERIODS = 8
 
 
 def skeleton_analysis(
-    step: TransferOperator, at_t0: TransferOperator, n: int, psi1: WeightedFunction
+    step: TransferOperator, n: int, t0: float, psi1: WeightedFunction
 ) -> SkeletonReport:
     """Continuous-time analysis of a semigroup from its skeleton step.
 
-    ``step`` is S = P_delta and ``at_t0`` is P_t0 = S^n, n >= 1, as
-    ``build_diffusion_generator`` returns them; t0 > 0 is ``at_t0``'s
-    ``step_label``, ``step``'s label must be t0 / n, and the skeleton times
-    are ``linspace(0, t0, n + 1)``.
+    ``step`` is S = P_delta at delta = t0 / n, n >= 1 and 0 < t0 < inf, as
+    ``build_diffusion_generator`` makes it; P_t0 is S^n by
+    ``np.linalg.matrix_power`` and the skeleton times are
+    ``linspace(0, t0, n + 1)``.
     The eigen triple of P_t0 gives the growth rate ``lambda0 = log(theta0) /
     t0`` and, as its eigenfunction eta, the lower weight psi2. The sandwich
     constants bound S^k psi1 / psi1 from above and S^k psi2 / psi2 from below
@@ -566,21 +573,16 @@ def skeleton_analysis(
     theta0^(1/n) for 8 periods, from the uniform measure with test function
     ``half_probe(psi1)``.
     """
-    space = step.space
-    if at_t0.space is not space and at_t0.space != space:
-        raise SpaceMismatchError("step and P_t0 live on different spaces")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    t0 = at_t0.step_label
     if not 0.0 < t0 < np.inf:
-        raise ValueError(f"P_t0 is at {t0!r}, not a finite t0 > 0")
-    if not np.isclose(n * step.step_label, t0, rtol=ROUNDOFF_REL, atol=0.0):
-        raise ValueError(f"step is at {step.step_label!r}, not t0 / n = {t0!r} / {n}")
-    triple = power_iterate(at_t0, psi1)
+        raise ValueError(f"t0 is {t0!r}, not a finite t0 > 0")
+    space = step.space
+    S = step.kernel
+    triple = power_iterate(TransferOperator(space, np.linalg.matrix_power(S, n)), psi1)
     psi2 = triple.eta
     lambda0 = float(np.log(triple.theta0) / t0)
 
-    S = step.kernel
     pos2 = psi2.values > 0.0
     c_bar, c_under = 0.0, np.inf
     sandwich = zip(orbit(S, psi1.values), orbit(S, psi2.values))

@@ -75,7 +75,7 @@ def tilt_submarkov(
         raise ValueError(f"normalizer must be positive, got {c}")
     v = psi1.values
     kernel = P.kernel * (v[None, :] / (c * v[:, None]))
-    tilted = TransferOperator(P.space, kernel, step_label=P.step_label)
+    tilted = TransferOperator(P.space, kernel)
     row_masses = drift.values / (c * v)
     max_row_mass = float(np.max(row_masses))
     return TiltRecord(
@@ -122,7 +122,7 @@ def h_transform(
     mant, exp = np.frexp(theta0)
     ratio = e[None, :] / (mant * e[:, None])
     kernel = np.ldexp(P.kernel[np.ix_(idx, idx)] * ratio, -exp)
-    transformed = TransferOperator(sub_space, kernel, step_label=P.step_label)
+    transformed = TransferOperator(sub_space, kernel)
     return HTransformRecord(
         support=support, transformed=transformed, row_masses=kernel.sum(axis=1)
     )

@@ -12,9 +12,9 @@ def unit_space(n, dim=1):
     return StateSpace(pts, np.ones(n))
 
 
-def make_operator(kernel, step_label=1):
+def make_operator(kernel):
     kernel = np.asarray(kernel, dtype=float)
-    return TransferOperator(unit_space(kernel.shape[0]), kernel, step_label=step_label)
+    return TransferOperator(unit_space(kernel.shape[0]), kernel)
 
 
 def random_kernel(rng, n, low=0.05, high=1.0):

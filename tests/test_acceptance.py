@@ -251,9 +251,9 @@ def test_criterion_9_diffusion_model():
         t0=1.0,
     )
     fam8 = build_diffusion_generator(model, n_substeps=8)
-    sk8 = skeleton_analysis(fam8.step, fam8.at_t0, fam8.n_substeps, fam8.psi)
+    sk8 = skeleton_analysis(fam8.step, fam8.n_substeps, model.t0, fam8.psi)
     fam16 = build_diffusion_generator(model, n_substeps=16)
-    sk16 = skeleton_analysis(fam16.step, fam16.at_t0, fam16.n_substeps, fam16.psi)
+    sk16 = skeleton_analysis(fam16.step, fam16.n_substeps, model.t0, fam16.psi)
     assert np.isfinite(sk8.c_bar) and sk8.c_under > 0.0
     assert sk8.passed
     rel = abs(sk8.lambda0 - sk16.lambda0) / abs(sk8.lambda0)

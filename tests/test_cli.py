@@ -25,6 +25,7 @@ from rpos.cli import (
     read_config,
 )
 from rpos.models import build_diffusion_generator
+from rpos.spectral import skeleton_analysis
 
 from conftest import make_operator
 
@@ -33,7 +34,6 @@ TWO_STATE = {
     "points": [[0.0], [1.0]],
     "ref_weights": [1.0, 1.0],
     "kernel": [[0.5, 0.2], [0.1, 0.6]],
-    "step_label": 1,
 }
 
 
@@ -59,7 +59,6 @@ def operator_layout(op):
         "points": op.space.points.tolist(),
         "ref_weights": op.space.ref_weights.tolist(),
         "kernel": op.kernel.tolist(),
-        "step_label": op.step_label,
     }
 
 
@@ -179,7 +178,6 @@ class TestReciprocalCommand:
             "points": [[float(i)] for i in range(4)],
             "ref_weights": [1.0] * 4,
             "kernel": [[1e307] * 4 for _ in range(4)],
-            "step_label": 1,
         }
         op = write_operator(tmp_path, huge)
         cfg = write_config(tmp_path, f"operator = {op.name}\n")
@@ -237,7 +235,6 @@ class TestModelRunCommand:
         assert np.array_equal(back.space.points, op.space.points)
         assert np.array_equal(back.space.ref_weights, op.space.ref_weights)
         assert np.array_equal(back.kernel, op.kernel)
-        assert back.step_label == op.step_label
         spectral = write_config(tmp_path, f"operator = {out / 'kernel.json'}\n", "spectral.cfg")
         assert run(["spectral", "--config", spectral, "--out", tmp_path / "s", "--quiet"]) == 0
 
@@ -301,6 +298,24 @@ class TestSkeletonCommand:
         top = float(np.max(np.linalg.eigvals(generator).real))
         assert report["skeleton"]["lambda0"] == pytest.approx(top, rel=1e-10)
 
+    def test_girsanov_normalizer_out_of_range_is_analysis_failure(self, tmp_path, capsys):
+        # The skeleton solves, but exp(a t0) at a t0 = 0.5488 * 2000 is past
+        # the float range: one error line, exit 1 and no output directory.
+        text = (
+            "model.kind = diffusion\nmodel.b = zero\nmodel.r = const:0.0488\n"
+            "grid.n = 30\ngrid.L = 10\nskeleton.t0 = 2000\n"
+        )
+        cfg = write_config(tmp_path, text)
+        model = diffusion_from_config(read_config("skeleton", parse_config(cfg), cfg))
+        fam = build_diffusion_generator(model)
+        assert skeleton_analysis(fam.step, fam.n_substeps, model.t0, fam.psi).passed
+        out = tmp_path / "out"
+        assert run(["skeleton", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("rpos: analysis failed: ") and err.count("\n") == 1
+        assert "a t0 = 1097.6" in err
+        assert not out.exists()
+
 
 class TestUsageErrors:
     def test_missing_config_file(self, tmp_path, capsys):
@@ -314,6 +329,16 @@ class TestUsageErrors:
         code = run(["spectral", "--config", cfg, "--out", tmp_path / "o"])
         assert code == 2
         assert "kernel" in capsys.readouterr().err
+
+    def test_step_label_field_is_no_error(self, tmp_path):
+        # older operator files carry "step_label": 1; like any unknown field
+        # it is left unread, whatever its value
+        plain = load_operator_bundle(write_operator(tmp_path, TWO_STATE))["operator"]
+        for label in (1, 0.25, "x"):
+            data = dict(TWO_STATE, step_label=label)
+            op = load_operator_bundle(write_operator(tmp_path, data))["operator"]
+            assert np.array_equal(op.kernel, plain.kernel)
+            assert vars(op).keys() == {"space", "kernel"}
 
     def test_missing_operator_field_is_named(self, tmp_path):
         for key in ("points", "ref_weights", "kernel"):
@@ -868,7 +893,6 @@ def _operator_bundles(draw):
         "points": [[float(i)] for i in range(n)],
         "ref_weights": [1.0] * n,
         "kernel": kernel.tolist(),
-        "step_label": 1,
     }
     weights = {"psi": [0.5, 1.0, 4.0, 1e10, np.inf],
                "psi1": [0.5, 1.0, 4.0, 1e10, np.inf],

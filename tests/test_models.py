@@ -14,6 +14,7 @@ from rpos import (
     GridCoverageError,
     PdsModel,
     StabilityError,
+    TransferOperator,
     WeightedFunction,
     apply,
     build_diffusion_generator,
@@ -50,6 +51,12 @@ def small_diffusion(b, r, L, dim=1, grid_n=50):
     return DiffusionModel(
         b=vector_field(b, dim), r=scalar_field(r), L=L, grid_n=grid_n, t0=1.0, dim=dim
     )
+
+
+def p_t0(fam):
+    """P_t0 = S^n of a diffusion family, as ``skeleton_analysis`` powers it."""
+    kernel = np.linalg.matrix_power(fam.step.kernel, fam.n_substeps)
+    return TransferOperator(fam.step.space, kernel)
 
 
 def small_pds(**kw):
@@ -275,17 +282,9 @@ class TestHypotheses:
         assert not rep.diverging
         assert rep.warnings
 
-    def test_diffusion_drift_decays(self):
-        model = DiffusionModel(
-            b=vector_field("affine:1,-1", 1),
-            r=scalar_field("const:0"),
-            L=10.0,
-            grid_n=100,
-            t0=0.5,
-        )
-        rep = check_hypotheses(model)
-        assert rep.kind == "diffusion" and rep.diverging
-        assert rep.details["a"] == pytest.approx(0.5 + 1.0 - model.h, abs=1e-12)
+    def test_other_models_are_a_type_error(self):
+        with pytest.raises(TypeError, match="DiffusionModel"):
+            check_hypotheses(small_diffusion("affine:1,-1", "const:0", 10.0))
 
 
 class TestUniformization:
@@ -343,11 +342,11 @@ class TestDiffusion:
         base = dict(b=vector_field("zero", 1), r=scalar_field("const:0"), t0=0.5)
         fam = build_diffusion_generator(DiffusionModel(L=6.0, grid_n=120, **base))
         ones = WeightedFunction.ones(fam.step.space)
-        mass = apply(fam.at_t0, ones)
+        mass = apply(p_t0(fam), ones)
         assert np.all(mass.values < 1.0)  # strict absorption
         fam_wide = build_diffusion_generator(DiffusionModel(L=24.0, grid_n=480, **base))
         mid = fam_wide.step.space.size // 2
-        mass_wide = apply(fam_wide.at_t0, WeightedFunction.ones(fam_wide.step.space))
+        mass_wide = apply(p_t0(fam_wide), WeightedFunction.ones(fam_wide.step.space))
         assert mass_wide.values[mid] > mass.values[mass.values.size // 2]
         assert mass_wide.values[mid] > 0.999
 
@@ -360,7 +359,7 @@ class TestDiffusion:
             t0=1.0,
         )
         fam = build_diffusion_generator(model, n_substeps=8)
-        rep = skeleton_analysis(fam.step, fam.at_t0, fam.n_substeps, fam.psi)
+        rep = skeleton_analysis(fam.step, fam.n_substeps, model.t0, fam.psi)
         assert rep.passed
         assert rep.lambda0 < 0.0  # killing at the origin boundary
 
@@ -381,15 +380,18 @@ class TestDiffusion:
         )
         fam = build_diffusion_generator(model, n_substeps=n)
         assert fam.n_substeps == n
-        assert fam.step.step_label == np.linspace(0.0, 1.0, n + 1)[1]
-        assert fam.at_t0.step_label == 1.0
+        # the step is at t0 / n, the first skeleton time, bit for bit
+        delta = np.linspace(0.0, model.t0, n + 1)[1]
+        assert model.t0 / n == delta
+        assert np.array_equal(fam.step.kernel, uniformized_exponential(fam.generator, delta))
+        at_t0 = p_t0(fam).kernel
         oracle = scipy.linalg.expm(model.t0 * fam.generator)
-        assert np.max(np.abs(fam.at_t0.kernel - oracle)) <= 1e-10
+        assert np.max(np.abs(at_t0 - oracle)) <= 1e-10
         chain = fam.step.kernel
         for _ in range(n - 1):
             chain = chain @ fam.step.kernel
         peak = np.max(np.abs(chain))
-        assert np.max(np.abs(fam.at_t0.kernel - chain)) <= 1e-12 * peak
+        assert np.max(np.abs(at_t0 - chain)) <= 1e-12 * peak
 
     def test_skeleton_memory_does_not_grow_with_substeps(self):
         # only S and P_t0 are kept: a list of all 65 members would hold
@@ -401,7 +403,7 @@ class TestDiffusion:
         tracemalloc.start()
         try:
             fam = build_diffusion_generator(model, n_substeps=64)
-            skeleton_analysis(fam.step, fam.at_t0, fam.n_substeps, fam.psi)
+            skeleton_analysis(fam.step, fam.n_substeps, model.t0, fam.psi)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -445,7 +447,7 @@ class TestDiffusion:
         )
         fam = build_diffusion_generator(model)
         rep = girsanov_check(fam)
-        tilt = tilt_submarkov(fam.at_t0, fam.psi, c=np.exp(rep.a * model.t0))
+        tilt = tilt_submarkov(p_t0(fam), fam.psi, c=np.exp(rep.a * model.t0))
         assert tilt.max_row_mass <= 1.0 + 1e-9
 
     def test_2d_generator_matches_dense_expm(self):
@@ -459,8 +461,9 @@ class TestDiffusion:
         )
         fam = build_diffusion_generator(model, n_substeps=4)
         oracle = scipy.linalg.expm(model.t0 * fam.generator)
-        assert np.max(np.abs(fam.at_t0.kernel - oracle)) <= 1e-10
-        assert np.all(fam.at_t0.kernel.sum(axis=1) < 1.0)  # killed at all faces
+        at_t0 = p_t0(fam).kernel
+        assert np.max(np.abs(at_t0 - oracle)) <= 1e-10
+        assert np.all(at_t0.sum(axis=1) < 1.0)  # killed at all faces
 
     def test_girsanov_discrepancy_shrinks_with_mesh(self):
         base = dict(
@@ -493,16 +496,37 @@ class TestDiffusion:
         fam = build_diffusion_generator(model)
         assert _halved_exponential(fam.shifted_generator, t0)[1] == halvings
         rep = girsanov_check(fam)
-        tilt = tilt_submarkov(fam.at_t0, fam.psi, c=np.exp(fam.a * t0))
+        tilt = tilt_submarkov(p_t0(fam), fam.psi, c=np.exp(fam.a * t0))
         ones = np.ones(fam.step.space.size)
         dense = uniformized_exponential(fam.shifted_generator, t0)
         ref = np.max(np.abs(tilt.tilted.kernel @ ones - dense @ ones))
         assert abs(rep.discrepancy - ref) <= 1e-9 * ref
 
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_girsanov_reads_the_tilt_row_masses(self, n):
+        # S^n psi / (c psi) from the step is the row mass of the sub-Markov
+        # tilt of S^n itself, so the check stays tied to tilt_submarkov
+        model = DiffusionModel(
+            b=vector_field("affine:1,-1", 1),
+            r=scalar_field("const:0"),
+            L=6.0,
+            grid_n=60,
+            t0=0.5,
+        )
+        fam = build_diffusion_generator(model, n_substeps=n)
+        rep = girsanov_check(fam)
+        tilt = tilt_submarkov(p_t0(fam), fam.psi, c=np.exp(fam.a * model.t0))
+        step, halvings = _halved_exponential(fam.shifted_generator, model.t0)
+        direct = np.ones(fam.step.space.size)
+        for _ in range(2**halvings):
+            direct = step @ direct
+        ref = np.max(np.abs(tilt.row_masses - direct))
+        assert abs(rep.discrepancy - ref) <= 1e-10 * ref
+
 
 def skeleton_lambda0(b, L, grid_n, dim=1):
     fam = build_diffusion_generator(small_diffusion(b, "const:0", L, dim=dim, grid_n=grid_n))
-    return skeleton_analysis(fam.step, fam.at_t0, fam.n_substeps, fam.psi).lambda0
+    return skeleton_analysis(fam.step, fam.n_substeps, fam.model.t0, fam.psi).lambda0
 
 
 class TestClosedFormOracles:
