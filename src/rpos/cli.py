@@ -410,10 +410,10 @@ _LAYOUT = {
     G4Result: "n4 pass=passed",
     GReport: "g1 g2 g3 g4 overall",
     ReciprocalCertificate: (
-        "overall=passed stage m lambda=lam rho d c2 C_R n2 eigen_residual"
+        "overall=passed stage m lambda=lam rho d C_R n2 eigen_residual"
         " V0 psi1 K nu support g_report zeta diagnostics"
     ),
-    HypothesisReport: "kind shell_radii shell_values diverging warnings details",
+    HypothesisReport: "shell_radii shell_values diverging warnings details",
     McEstimate: "value std_error n_traj n_killed seed",
     GirsanovReport: "discrepancy a h t0",
 }

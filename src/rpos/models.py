@@ -595,7 +595,6 @@ class HypothesisReport:
     non-diverging profile is a warning rather than a failure.
     """
 
-    kind: str
     shell_radii: np.ndarray
     shell_values: np.ndarray
     diverging: bool
@@ -629,7 +628,6 @@ def check_hypotheses(model: PdsModel) -> HypothesisReport:
     radii, values = _shell_minima(radius, s)
     diverging = _rising(values)
     return HypothesisReport(
-        kind="pds",
         shell_radii=radii,
         shell_values=values,
         diverging=diverging,

@@ -205,7 +205,6 @@ class ReciprocalCertificate:
     psi1: WeightedFunction | None = None
     K: SubsetMask | None = None
     nu: Measure | None = None
-    c2: float = float("nan")
     C_R: float = float("nan")
     n2: int = -1
     support: SubsetMask | None = None
@@ -217,19 +216,15 @@ def _failed(stage, inp, eigen_residual, **kw):
     return ReciprocalCertificate(False, stage, eigen_residual, inp.zeta, **kw)
 
 
-def _schedule(m_max):
-    """(m, lambda, rho) up to ``m_max``: m doubles, lambda and rho move halfway to 1."""
+def _schedule(horizon):
+    """(m, lambda, rho) for m <= ``horizon``: m doubles, lambda and rho move halfway to 1."""
     m, lam, rho = _M0, _LAM0, _RHO0
-    while m <= m_max:
+    while m <= horizon:
         yield m, lam, rho
         m, lam, rho = 2 * m, (1 + lam) / 2, (1 + rho) / 2
 
 
-def certify(
-    inp: ReciprocalInput,
-    m_max: int = 128,
-    n_g: int = 100,
-) -> ReciprocalCertificate:
+def certify(inp: ReciprocalInput) -> ReciprocalCertificate:
     """Run the full reverse pipeline and verify the resulting package.
 
     Stages: validate that (eta, theta0) really is an eigenpair at relative
@@ -237,11 +232,13 @@ def certify(
     certificate), conjugate to the stochastic operator on the support, build
     V0, locate the small set and the surplus constant, extend psi1 to the
     full space, assemble the minorizing measure, and check (G1)-(G4) with
-    psi2 = eta. The parameters start at m = 8, lambda = 0.9, rho = 0.95; on
-    failure they back off geometrically (m doubles; lambda and rho move
-    halfway to 1) until ``m_max`` is exhausted. The minorization horizon is
-    searched in doubling steps until the certificate mass is positive
-    (banded kernels need roughly the diameter of K).
+    psi2 = eta. The profile's length sets the one horizon H = len(zeta) - 1.
+    The parameters start at m = 8, lambda = 0.9, rho = 0.95; on failure they
+    back off geometrically (m doubles; lambda and rho move halfway to 1)
+    while m <= H, the m whose zeta_m was measured. (G3) and (G4) are
+    checked to H. The minorization horizon is searched in doubling steps
+    until the certificate mass is positive (banded kernels need roughly the
+    diameter of K).
     """
     P, psi, eta, theta0 = inp.P, inp.psi, inp.eta, inp.theta0
     resid = (
@@ -266,8 +263,9 @@ def certify(
             "spectral", inp, resid, diagnostics="nu_P gives no mass to the support"
         )
 
+    horizon = inp.zeta.size - 1
     last = None
-    for m, lam, rho in _schedule(m_max):
+    for m, lam, rho in _schedule(horizon):
         try:
             psi1 = extend_psi1(inp, m, lam)
         except ZetaConditionError:
@@ -285,8 +283,8 @@ def certify(
         g_report = GReport(
             g1=_search_g1(P, K_full, psi1),
             g2=check_g2(P, K_full, psi1, eta),
-            g3=check_g3(P, K_full, psi1, n_g),
-            g4=check_g4(P, K_full, psi1, n_g),
+            g3=check_g3(P, K_full, psi1, horizon),
+            g4=check_g4(P, K_full, psi1, horizon),
         )
         last = ReciprocalCertificate(
             passed=g_report.overall,
@@ -301,7 +299,6 @@ def certify(
             psi1=psi1,
             K=K_full,
             nu=nu,
-            c2=g_report.g2.c2,
             C_R=drift.C_R,
             n2=drift.n2,
             support=H.support,
@@ -315,7 +312,7 @@ def certify(
             "zeta",
             inp,
             resid,
-            diagnostics=f"zeta_m^(1/m) <= lambda unattainable for any m <= {m_max} "
+            diagnostics=f"zeta_m^(1/m) <= lambda unattainable for any m <= {horizon} "
             f"(profile length {inp.zeta.size})",
         )
     return last

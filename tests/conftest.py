@@ -17,6 +17,18 @@ def make_operator(kernel):
     return TransferOperator(unit_space(kernel.shape[0]), kernel)
 
 
+def killed_walk(n):
+    """Walk on n sites: stay 0.35, step 0.3 each way, killed off both ends."""
+    k = np.zeros((n, n))
+    for i in range(n):
+        if i > 0:
+            k[i, i - 1] = 0.3
+        k[i, i] = 0.35
+        if i < n - 1:
+            k[i, i + 1] = 0.3
+    return make_operator(k)
+
+
 def random_kernel(rng, n, low=0.05, high=1.0):
     return rng.uniform(low, high, size=(n, n))
 

@@ -27,7 +27,7 @@ from rpos.cli import (
 from rpos.models import build_diffusion_generator
 from rpos.spectral import skeleton_analysis
 
-from conftest import make_operator
+from conftest import killed_walk, make_operator
 
 
 TWO_STATE = {
@@ -44,8 +44,9 @@ def write_config(tmp_path, text, name="run.cfg"):
 
 
 def write_operator(tmp_path, data, name="op.json"):
+    """``data`` as operator JSON, or a str as the file's text."""
     path = tmp_path / name
-    path.write_text(json.dumps(data))
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
     return path
 
 
@@ -149,6 +150,14 @@ class TestCheckGCommand:
         rep = json.loads((out / "report.json").read_text())["g_report"]
         assert rep["g4"]["pass"] is False
 
+    def test_k_from_the_operator_file(self, tmp_path):
+        op = write_operator(tmp_path, dict(THREE, K=[0]))
+        cfg = write_config(tmp_path, f"operator = {op.name}\n")
+        out = tmp_path / "out"
+        assert run(["check-g", "--config", cfg, "--out", out, "--quiet"]) in (0, 1)
+        rep = json.loads((out / "report.json").read_text())["g_report"]
+        assert list(rep["g4"]["n4"]) == ["0"]
+
 
 class TestReciprocalCommand:
     def test_two_state_certifies(self, tmp_path):
@@ -172,6 +181,17 @@ class TestReciprocalCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["certificate"]["stage"] == "zeta"
         assert len((out / "eq3.csv").read_text().splitlines()) == 7
+
+    @pytest.mark.parametrize("n_max, code, stage", [(1000, 0, "ok"), (160, 1, "zeta")])
+    def test_slowly_mixing_walk_certifies_on_a_long_profile(self, tmp_path, n_max, code, stage):
+        # On the 50-site killed walk zeta_m^(1/m) <= lambda first holds at
+        # m = 512, so only a profile that reaches zeta_512 can certify it.
+        op = write_operator(tmp_path, operator_layout(killed_walk(50)))
+        cfg = write_config(tmp_path, f"operator = {op.name}\nn_max = {n_max}\n")
+        out = tmp_path / "out"
+        assert run(["reciprocal", "--config", cfg, "--out", out, "--quiet"]) == code
+        report = json.loads((out / "report.json").read_text())
+        assert report["certificate"]["stage"] == stage
 
     def test_overflowing_operator_is_analysis_failure(self, tmp_path, capsys):
         huge = {
@@ -405,6 +425,9 @@ MALFORMED = {
     "k-index-past-end": ("check-g", "k.indices = 7\n", THREE),
     "k-index-not-a-number": ("check-g", "k.indices = a\n", THREE),
     "k-index-negative": ("check-g", "k.indices = -1\n", THREE),
+    "operator-k-empty": ("check-g", "", dict(THREE, K=[])),
+    "operator-k-past-end": ("check-g", "", dict(THREE, K=[9])),
+    "operator-truncated": ("check-g", "", json.dumps(THREE)[:-7]),
     "spectral-n-max-negative": ("spectral", "n_max = -2\n", THREE),
     "reciprocal-n-max-negative": ("reciprocal", "n_max = -3\n", THREE),
     "check-g-n-max-negative": ("check-g", "n_max = -1\n", THREE),
@@ -436,7 +459,8 @@ def test_malformed_input_is_a_usage_error(tmp_path, capsys, case):
     cfg = write_config(tmp_path, text)
     code = run([command, "--config", cfg, "--out", tmp_path / "o"])
     assert code == 2
-    assert capsys.readouterr().err.startswith("rpos: error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("rpos: error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("flag", ["--tol", "--n-max", "--seed"])
@@ -687,7 +711,7 @@ REPORT_LAYOUT = {
     "reciprocal": ("n_max = 80\n", TWO_STATE, [
         "schema", "command", *under("triple", TRIPLE_KEYS),
         *under("certificate", [
-            "overall", "stage", "m", "lambda", "rho", "d", "c2", "C_R", "n2",
+            "overall", "stage", "m", "lambda", "rho", "d", "C_R", "n2",
             "eigen_residual", "V0", "psi1", "K", "nu", "support",
             *under("g_report", G_REPORT_KEYS), "zeta", "diagnostics",
         ]),
@@ -696,7 +720,7 @@ REPORT_LAYOUT = {
     "model-run": (MAP_CFG + "mc.n_traj = 100\n", None, [
         "schema", "command", "theta2_seed", "n0", "K", "max_row_leak", "max_psi1_leak",
         *under("hypotheses", [
-            "kind", "shell_radii", "shell_values", "diverging", "warnings",
+            "shell_radii", "shell_values", "diverging", "warnings",
             *under("details", ["penalty_envelope_C", "sup_inv_G", "C_prime"]),
         ]),
         *under("g_report", G_REPORT_KEYS), *under("triple", TRIPLE_KEYS),

@@ -19,19 +19,7 @@ from rpos import (
 )
 from rpos.cli import _plain
 
-from conftest import make_operator, random_kernel
-
-
-def killed_walk(n):
-    """Walk on n sites: stay 0.35, step 0.3 each way, killed off both ends."""
-    k = np.zeros((n, n))
-    for i in range(n):
-        if i > 0:
-            k[i, i - 1] = 0.3
-        k[i, i] = 0.35
-        if i < n - 1:
-            k[i, i + 1] = 0.3
-    return make_operator(k)
+from conftest import killed_walk, make_operator, random_kernel
 
 
 def reciprocal_input(P, psi=None, n_zeta=60, tol=1e-13):
@@ -209,17 +197,19 @@ class TestCertify:
         assert res.c3 <= 1.0 + 1e-9
 
     def test_killed_random_walk_certifies(self):
-        inp, t = reciprocal_input(killed_walk(50), n_zeta=700)
-        cert = certify(inp, m_max=1024, n_g=2000)
+        # the profile's length is the only horizon: zeta_512 is measured and
+        # (G3)/(G4) run to n = 1000
+        inp, t = reciprocal_input(killed_walk(50), n_zeta=1000)
+        cert = certify(inp)
         assert cert.passed
         assert cert.g_report.g2.theta1 < cert.g_report.g2.theta2
         assert cert.m > 8  # back-off was exercised
 
     def test_back_off_through_failing_certificates(self):
-        # at the default (G3) horizon every attempted certificate fails, so the
-        # schedule runs to m_max and returns the last one
-        inp, _ = reciprocal_input(killed_walk(50), n_zeta=700)
-        cert = certify(inp, m_max=1024)
+        # at H = 600 the only m with zeta_m^(1/m) <= lambda is 512, and its
+        # certificate fails (G3), so the schedule ends and returns that one
+        inp, _ = reciprocal_input(killed_walk(50), n_zeta=600)
+        cert = certify(inp)
         assert not cert.passed and cert.stage == "condition-g"
         assert cert.m == 512
         assert cert.lam == pytest.approx(1 - 0.1 / 2**6)
@@ -300,7 +290,7 @@ class TestCertify:
         cert = certify(inp)
         assert not cert.passed and cert.stage == "zeta"
         assert cert.diagnostics == (
-            "zeta_m^(1/m) <= lambda unattainable for any m <= 128 (profile length 20)"
+            "zeta_m^(1/m) <= lambda unattainable for any m <= 19 (profile length 20)"
         )
 
     def test_certificate_serializes(self, two_state):
