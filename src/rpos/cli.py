@@ -415,7 +415,7 @@ _LAYOUT = {
     ),
     HypothesisReport: "shell_radii shell_values diverging warnings details",
     McEstimate: "value std_error n_traj n_killed seed",
-    GirsanovReport: "discrepancy a h t0",
+    GirsanovReport: "discrepancy relative a h t0",
 }
 
 
@@ -484,51 +484,59 @@ def _operator_json(op: TransferOperator) -> str:
     return "".join(out)
 
 
-#: Rows that share one token table in ``_encode_floats``, and the share of
-#: distinct entries above which a block is written as lists instead. On
-#: 800 x 800 kernels (medians, 2 shared vCPUs), the lists took 1.13 s for
-#: the slope-0.25 map kernel (1.6 % distinct) and 0.84 s for a random one;
-#: one table for the whole matrix took 0.14 s and 1.18 s, and tables of 64
-#: rows 0.24 s and 0.96 s. Writing the mostly distinct blocks as lists
-#: brought the random kernel and the slope-0.2467 one (85 % distinct) back
-#: to the lists' time, with 20 MB less peak memory.
+#: Rows per chunk of ``_encode_floats``: one gather from the token table,
+#: or one ``tolist`` for the lists. It bounds memory: a whole 800 x 800
+#: kernel at once holds 640 000 more references, or Python floats, and its
+#: lists took 0.65 s against 0.57 s in chunks.
 _BLOCK_ROWS = 64
+#: The share of distinct entries from which an array is written as lists,
+#: one ``json.dumps`` per row: a table saves it few reprs and costs a
+#: gather. Medians of 7 on one shared vCPU: the slope-0.25 map kernel at
+#: grid 800 (1.6 % distinct) takes 0.08 s through the table and 0.97 s as
+#: lists, the slope-0.2467 one (84 % distinct) 0.80 s and 0.59 s. A table
+#: of NUL-padded bytes lost 0.04-0.13 s a kernel to stripping the padding;
+#: a table of str objects is joined as it is.
 _TABLE_SHARE = 0.75
 
 
 def _encode_floats(array, newline, out):
     """Append the indented encoding of a nonempty float64 array of 1 or 2
-    dimensions, one string per row.
+    dimensions.
 
-    Per block of ``_BLOCK_ROWS`` rows, ``np.unique`` of the int64 bit view
-    gives the distinct entries and each entry's index among them. One
-    ``json.dumps`` of the distinct entries, split at ``", "``, is the token
-    table, so NaN, Infinity, -0.0, 1e+16 and 5e-324 read as json writes
-    them; the bit view keeps -0.0 apart from 0.0. Each row gathers its
-    tokens by index. A block whose entries are mostly distinct (counted on
-    a sort, which costs less than ``np.unique``) would save few reprs for a
-    gather per entry, so its rows are written as lists.
+    One sort of the int64 bit view counts the distinct entries. Mostly
+    distinct arrays are written one ``json.dumps`` per row. Otherwise
+    ``np.unique`` of the bit view gives the distinct entries and each
+    entry's index among them, and one ``json.dumps`` of the distinct
+    entries, split at ``", "``, gives their tokens, so NaN, Infinity, -0.0,
+    1e+16 and 5e-324 read as json writes them; the bit view keeps -0.0
+    apart from 0.0. The table holds each token twice: followed by the item
+    separator, and followed by the text between two rows, which the last
+    column indexes. A chunk of rows is then one gather from that table and
+    one ``str.join``, with no Python step per entry.
     """
     rows = np.ascontiguousarray(array).reshape(-1, array.shape[-1])
     line = newline + "  " if array.ndim == 2 else newline  # a row's newline
     item = "," + line + "  "
-    lead = "[" + line if array.ndim == 2 else ""
+    row_sep = line + "]," + line + "[" + line + "  "
+    out.append(("[" + line if array.ndim == 2 else "") + "[" + line + "  ")
+    bits = rows.view(np.int64)
+    ordered = np.sort(bits, axis=None)
+    table = None
+    if np.count_nonzero(ordered[1:] != ordered[:-1]) < _TABLE_SHARE * bits.size:
+        distinct, index = np.unique(bits, return_inverse=True)
+        tokens = json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", ")
+        table = np.array([t + item for t in tokens] + [t + row_sep for t in tokens], dtype=object)
+        index = index.reshape(rows.shape)
+        index[:, -1] += len(tokens)
     for start in range(0, len(rows), _BLOCK_ROWS):
-        block = rows[start:start + _BLOCK_ROWS]
-        bits = block.view(np.int64)
-        ordered = np.sort(bits, axis=None)
-        if np.count_nonzero(ordered[1:] != ordered[:-1]) >= _TABLE_SHARE * block.size:
-            texts = [json.dumps(row)[1:-1].replace(", ", item) for row in block.tolist()]
+        chunk = slice(start, start + _BLOCK_ROWS)
+        if table is None:
+            out.extend(json.dumps(row)[1:-1].replace(", ", item) + row_sep
+                       for row in rows[chunk].tolist())
         else:
-            distinct, index = np.unique(bits, return_inverse=True)
-            tokens = json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", ")
-            texts = [item.join([tokens[i] for i in row])
-                     for row in index.reshape(block.shape).tolist()]
-        for text in texts:
-            out.append(lead + "[" + line + "  " + text + line + "]")
-            lead = "," + line
-    if array.ndim == 2:
-        out.append(newline + "]")
+            out.append("".join(table[index[chunk]].ravel().tolist()))
+    out[-1] = out[-1][:-len(row_sep)]  # the last row ends the array
+    out.append(line + "]" + (newline + "]" if array.ndim == 2 else ""))
 
 
 def _write_all(out_dir: Path, outputs: dict):

@@ -439,10 +439,14 @@ class GirsanovReport:
     """Agreement between the weight-tilted step and the drift-shifted build.
 
     ``discrepancy`` is the sup-norm difference of the two operators' action
-    on the constant function; it shrinks with the mesh.
+    on the constant function; it shrinks with the mesh. ``relative`` is
+    that difference over the sup of the direct side's action: both sides
+    decay like exp(-(a - lambda0) t0), so at long horizons only the
+    relative figure still compares them.
     """
 
     discrepancy: float
+    relative: float
     a: float
     t0: float
     h: float
@@ -459,7 +463,8 @@ def girsanov_check(family: DiffusionFamily) -> GirsanovReport:
     S^n psi / (c psi), the row masses of ``tilt_submarkov``, with the step
     applied n times to psi, and the direct exponential's halved step is
     applied 2^h times to the ones vector, not squared h times. A normalizer
-    outside the float range raises NonFiniteError naming a t0.
+    outside the float range, or a direct side that underflows to 0, raises
+    NonFiniteError naming a t0.
     """
     model = family.model
     at0 = family.a * model.t0
@@ -473,8 +478,13 @@ def girsanov_check(family: DiffusionFamily) -> GirsanovReport:
     psi = family.psi.values
     direct = next(islice(orbit(step, np.ones(psi.size)), 2**halvings, None))
     tilted = next(islice(orbit(family.step.kernel, psi), family.n_substeps, None)) / (c * psi)
+    peak = float(np.max(np.abs(direct)))
+    if peak == 0.0:
+        raise NonFiniteError(f"Girsanov direct side underflows to 0 at t0 = {model.t0:.6g}")
     disc = float(np.max(np.abs(tilted - direct)))
-    return GirsanovReport(discrepancy=disc, a=family.a, t0=model.t0, h=model.h)
+    return GirsanovReport(
+        discrepancy=disc, relative=disc / peak, a=family.a, t0=model.t0, h=model.h
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import rpos
 from rpos.cli import (
     _KEYS as DECLARED,
+    _BLOCK_ROWS,
     UsageError,
     _encode_floats,
     _operator_json,
@@ -334,6 +335,24 @@ class TestSkeletonCommand:
         err = capsys.readouterr().err
         assert err.startswith("rpos: analysis failed: ") and err.count("\n") == 1
         assert "a t0 = 1097.6" in err
+        assert not out.exists()
+
+    def test_girsanov_direct_side_underflow_is_analysis_failure(self, tmp_path, capsys):
+        # The skeleton solves (lambda0 t0 = -1.233 * 450), but the direct side
+        # decays like exp(-(a - lambda0) t0) = exp(-780): it is 0 in floats and
+        # no gap relative to it exists.
+        text = (
+            "model.kind = diffusion\nmodel.b = zero\nmodel.r = const:0\n"
+            "grid.n = 30\ngrid.L = 2\nskeleton.t0 = 450\n"
+        )
+        cfg = write_config(tmp_path, text)
+        model = diffusion_from_config(read_config("skeleton", parse_config(cfg), cfg))
+        fam = build_diffusion_generator(model)
+        assert skeleton_analysis(fam.step, fam.n_substeps, model.t0, fam.psi).passed
+        out = tmp_path / "out"
+        assert run(["skeleton", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err == "rpos: analysis failed: Girsanov direct side underflows to 0 at t0 = 450\n"
         assert not out.exists()
 
 
@@ -735,7 +754,7 @@ REPORT_LAYOUT = {
             "lambda0", "c_bar", "c_under", "t0", *under("triple", TRIPLE_KEYS),
             *under("eq1cont", FIT_KEYS), *under("eq2cont", FIT_KEYS), "pass",
         ]),
-        *under("girsanov", ["discrepancy", "a", "h", "t0"]),
+        *under("girsanov", ["discrepancy", "relative", "a", "h", "t0"]),
     ]),
 }
 
@@ -947,20 +966,35 @@ def test_operator_commands_exit_with_a_code(drawn):
             assert code in (0, 1, 2)
 
 
-# A pool small enough that entries repeat within and across the blocks of
-# rows that share one token table, holding the values json spells specially.
+# A pool small enough that entries repeat, holding the values json spells
+# specially and its longest float, -2.2250738585072014e-308 (24 characters).
 _ARRAY_POOL = [-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e16,
-               1e-5, 1e-4, 0.1, 1 / 3, -2.5e-300, 123456789.125]
-_ARRAY_SHAPES = st.tuples(st.integers(1, 150)) | st.tuples(
-    st.integers(1, 150), st.integers(1, 4)
-)
-_FLOAT_ARRAYS = _ARRAY_SHAPES.flatmap(
-    lambda shape: arrays(np.float64, shape, elements=st.sampled_from(_ARRAY_POOL))
-)
+               1e-5, 1e-4, 0.1, 1 / 3, -2.5e-300, 123456789.125,
+               -2.2250738585072014e-308]
+# Up to two gather chunks of rows and one more, rows up to 100 wide.
+_ROW_COUNTS = st.integers(1, 2 * _BLOCK_ROWS + 1)
+_ARRAY_SHAPES = st.tuples(_ROW_COUNTS) | st.tuples(_ROW_COUNTS, st.integers(1, 100))
+
+
+@st.composite
+def _float_arrays(draw):
+    """Rows drawn from the pool, then up to 150 rows of distinct floats of
+    all magnitudes, so an array is repeat-heavy, mostly distinct or
+    repeat-heavy in its first rows only."""
+    pooled = draw(_ARRAY_SHAPES.flatmap(
+        lambda shape: arrays(np.float64, shape, elements=st.sampled_from(_ARRAY_POOL))
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(0, 150)), *pooled.shape[1:])
+    distinct = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, shape)
+    return np.concatenate([pooled, distinct])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(_FLOAT_ARRAYS, st.integers(0, 2))
+@given(_float_arrays(), st.integers(0, 2))
+@example(np.array([[-2.2250738585072014e-308]]), 1)
+@example(np.array([[5e-324]]), 0)
+@example(np.array([-0.0]), 2)
 def test_dumps_writes_float_arrays_as_their_lists(array, depth):
     newline = "\n" + "  " * depth
     out = []
@@ -970,6 +1004,33 @@ def test_dumps_writes_float_arrays_as_their_lists(array, depth):
     # takes minutes on kernel-sized strings.
     same = "".join(out) == expected
     assert same
+
+
+def count_floats(obj):
+    if isinstance(obj, list):
+        return sum(count_floats(entry) for entry in obj)
+    return isinstance(obj, float)
+
+
+def test_kernel_json_reprs_each_distinct_entry_once(monkeypatch):
+    # The bundled map model repeats most kernel entries (2 500 distinct of
+    # 40 000 at grid 200). Each distinct one is passed to json.dumps once:
+    # tokens per block of rows, or per entry, would pass more.
+    from rpos import build_pds_kernel
+    from rpos.models import PdsModel, scalar_field, vector_field
+
+    model = PdsModel(F=vector_field("linear:0.25", 1), G=scalar_field("const:1"),
+                     noise_sd=1.0, grid_n=200, L=10.0, p=2.0, a=2.0, dim=1)
+    kernel = build_pds_kernel(model).operator.kernel
+    dumps, passed = json.dumps, []
+
+    def counting(obj, *args, **kwargs):
+        passed.append(count_floats(obj))
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counting)
+    _encode_floats(kernel, "\n  ", [])
+    assert sum(passed) == np.unique(kernel.view(np.int64)).size < kernel.size
 
 
 @pytest.mark.parametrize("dim, grid_n", [(1, 200), (2, 15)])

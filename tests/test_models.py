@@ -537,6 +537,22 @@ class TestDiffusion:
             direct = step @ direct
         ref = np.max(np.abs(tilt.row_masses - direct))
         assert abs(rep.discrepancy - ref) <= 1e-10 * ref
+        assert abs(rep.relative - ref / np.max(direct)) <= 1e-10 * rep.relative
+
+    def test_girsanov_relative_gap_shows_at_long_horizons(self):
+        # Both sides decay like exp(-(a - lambda0) t0). At t0 = 1000 the sup
+        # of the gap is 3.9e-237 and reads as agreement, but the direct side
+        # peaks at 7.7e-242: the tilt is 5e4 times it.
+        model = DiffusionModel(
+            b=vector_field("zero", 1),
+            r=scalar_field("const:0.0488"),
+            L=10.0,
+            grid_n=30,
+            t0=1000.0,
+        )
+        rep = girsanov_check(build_diffusion_generator(model))
+        assert rep.discrepancy < 1e-230
+        assert rep.relative > 1e4
 
 
 def skeleton_lambda0(b, L, grid_n, dim=1):
