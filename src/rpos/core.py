@@ -22,7 +22,8 @@ import numpy as np
 
 #: Relative size below which a quantity is round-off: the floor of every
 #: convergence fit, the slack of the pointwise and row-mass comparisons, the
-#: support threshold of the h-transform and the Poisson tail cut-off.
+#: support threshold of the h-transform and the error target of the
+#: uniformized exponential after its h squarings (a Poisson cut at this / 2^h).
 ROUNDOFF_REL = 1e-12
 
 

@@ -333,63 +333,108 @@ def _assemble_generator(model, space, drift, kill, name):
 
 
 #: Largest ``Lambda dt`` summed as one Poisson series; longer intervals are
-#: halved. A dense squaring costs about five sparse Poisson terms at N = 600;
-#: on 1D and 2D stencils of N = 400 to 784, 8 and 32 were no faster than 16.
+#: halved. On the benchmark's three stencils (N = 400, 600 and 784; build,
+#: skeleton and Girsanov check, one BLAS thread, 2 shared Xeon vCPUs) the
+#: limits 8, 16, 32 and 64 took 0.43, 0.37, 0.38 and 0.42 s.
 _RATE_DT_MAX = 16.0
 
 
 def uniformized_exponential(A: np.ndarray, t: float) -> np.ndarray:
     """exp(t A) for a generator with nonnegative off-diagonals, as a dense array.
 
-    Shifts the diagonal nonpositive if needed, writes the remainder as
-    ``Lambda (M - I)`` with M nonnegative and sums the truncated Poisson
-    series. M is stored sparse, so each term ``M^k = M @ M^(k-1)`` is a
-    stencil product rather than a dense one. When ``Lambda t`` exceeds
-    ``_RATE_DT_MAX`` the interval is halved recursively and the result
-    squared densely, which preserves entrywise nonnegativity exactly (unlike
-    Pade scaling-and-squaring).
+    Shifts the diagonal nonpositive if needed and writes the remainder as
+    ``Lambda (M - I)`` with M nonnegative, held sparse. When ``Lambda t``
+    exceeds ``_RATE_DT_MAX`` the interval is halved h times. The Poisson
+    series of the halved step is cut a priori, where the Poisson tail bound
+    is below ``ROUNDOFF_REL / 2^h``, and summed by Horner, one stencil
+    product a term. The h squarings that follow are dense and preserve
+    entrywise nonnegativity exactly (unlike Pade scaling-and-squaring). A
+    generator holding inf or NaN, or a result past the float range, raises
+    NonFiniteError.
     """
     if not 0.0 <= t < math.inf:
         raise ValueError("time must be finite and nonnegative")
     acc, halvings = _halved_exponential(A, t)
-    for _ in range(halvings):
-        acc = acc @ acc
-    return acc
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(halvings):
+            acc = acc @ acc
+    return _finite(acc, f"exp(t A) overflows at t = {t:.6g}")
 
 
 def _halved_exponential(A: np.ndarray, t: float) -> tuple[np.ndarray, int]:
-    """exp(dt A) and h, for dt = t / 2^h the longest step with Lambda dt <= _RATE_DT_MAX."""
+    """exp(dt A) and h, for dt = t / 2^h the longest step with Lambda dt <= _RATE_DT_MAX.
+
+    Lambda is the least rate that keeps ``M = I + B / Lambda`` nonnegative
+    with row sums at most 2, so the Poisson(nu) weights, nu = Lambda dt
+    ||M||_inf, bound the terms ``(Lambda dt)^k / k! ||M^k||_inf``. The
+    series stops at the first K >= nu whose geometric tail bound is at most
+    ``ROUNDOFF_REL / 2^h`` of the weights summed so far: the h squarings
+    multiply the truncation error by up to 2^h.
+    """
     # Imported here: at module level it adds 1-2 MB and ~15 ms to every import
     # of rpos, and only the diffusion model needs it.
     from scipy.sparse import csr_array
 
+    _finite(A, "generator is non-finite")
     n = A.shape[0]
     shift = max(float(np.max(np.diag(A))), 0.0)
     B = A - shift * np.eye(n) if shift > 0.0 else A
-    lam = float(np.max(-np.diag(B)))
-    if lam <= 0.0:  # B is identically zero
-        return math.exp(shift * t) * np.eye(n), 0
+    if not B.any():
+        return _exp(shift * t, t) * np.eye(n), 0
+    top_row = float(np.max(B.sum(axis=1)))
+    lam = max(float(np.max(-np.diag(B))), top_row)
     halvings, dt = 0, t
     while lam * dt > _RATE_DT_MAX:
         dt /= 2.0
         halvings += 1
-    M = csr_array(np.eye(n) + B / lam)
     mu = lam * dt
-    coeff = math.exp(-mu)
-    acc = np.zeros((n, n))
-    # The right orbit: sparse @ dense runs straight as CSR matvecs, while
-    # dense @ sparse would transpose and copy the term on every step.
-    for k, term in enumerate(orbit(M, np.eye(n))):
-        if k:
-            coeff *= mu / k
-        acc += coeff * term
-        # stop past the Poisson mode once the term is negligible entrywise
-        if k >= mu and coeff * float(np.max(term)) <= ROUNDOFF_REL * float(np.max(acc)):
-            break
-        if k > 40 * (mu + 20):
-            break
-    acc *= math.exp(shift * dt)
-    return acc, halvings
+    nu = mu * (1.0 + top_row / lam)  # Lambda dt ||M||_inf
+    if not math.isfinite(nu):
+        raise NonFiniteError(f"exp(t A) has a non-finite Poisson rate at t = {t:.6g}")
+    coeffs = [_exp(shift * dt - mu, t)]  # e^(shift dt) Poisson(mu) weights
+    for k in range(1, _poisson_cut(nu, math.ldexp(ROUNDOFF_REL, -halvings)) + 1):
+        coeffs.append(coeffs[-1] * mu / k)
+    M = csr_array(np.eye(n) + B / lam)
+    diag = np.diag_indices(n)
+    acc = coeffs.pop() * np.eye(n)
+    # sparse @ dense runs straight as CSR matvecs, while dense @ sparse would
+    # transpose and copy the partial sum on every step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in reversed(coeffs):
+            acc = M @ acc
+            acc[diag] += c
+    return _finite(acc, f"exp(t A) overflows at t = {t:.6g}"), halvings
+
+
+def _poisson_cut(nu: float, tol: float) -> int:
+    """The first K >= nu with the Poisson(nu) tail past K bounded by ``tol``
+    times the weights up to K; the bound is the geometric ``w_K nu / (K + 1 - nu)``.
+
+    Carries q = w_k / sum_{j <= k} w_j, so no weight under- or overflows.
+    """
+    k, q = 0, 1.0
+    while k < nu or q * nu / (k + 1 - nu) > tol:
+        k += 1
+        x = q * nu / k
+        q = x / (1.0 + x)
+    return k
+
+
+def _exp(x: float, t: float) -> float:
+    """e^x, or NonFiniteError naming t where it leaves the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise NonFiniteError(f"exp(t A) overflows at t = {t:.6g}") from None
+
+
+def _finite(a: np.ndarray, message: str) -> np.ndarray:
+    """``a``, or NonFiniteError with ``message`` and the first row holding inf or NaN."""
+    bad = ~np.isfinite(a)
+    if bad.any():
+        i = int(np.argwhere(bad)[0, 0])
+        raise NonFiniteError(f"{message} (row {i})", i)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -477,7 +522,7 @@ def girsanov_check(family: DiffusionFamily) -> GirsanovReport:
     step, halvings = _halved_exponential(family.shifted_generator, model.t0)
     psi = family.psi.values
     direct = next(islice(orbit(step, np.ones(psi.size)), 2**halvings, None))
-    tilted = next(islice(orbit(family.step.kernel, psi), family.n_substeps, None)) / (c * psi)
+    tilted = next(islice(orbit(family.step.kernel, psi), family.n_substeps, None)) / psi / c
     peak = float(np.max(np.abs(direct)))
     if peak == 0.0:
         raise NonFiniteError(f"Girsanov direct side underflows to 0 at t0 = {model.t0:.6g}")

@@ -337,6 +337,38 @@ class TestSkeletonCommand:
         assert "a t0 = 1097.6" in err
         assert not out.exists()
 
+    def test_constant_potential_keeps_the_stencil(self, tmp_path):
+        # r = 200 > 1/h^2 = 121 makes every diagonal entry 79; the shift that
+        # takes it to 0 must leave the off-diagonals in the exponential.
+        text = (
+            "model.kind = diffusion\nmodel.b = zero\nmodel.r = const:200\n"
+            "grid.n = 10\ngrid.L = 1\nskeleton.t0 = 1\n"
+        )
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert run(["skeleton", "--config", cfg, "--out", out]) == 0
+        report = json.loads((out / "report.json").read_text())
+        model = diffusion_from_config(read_config("skeleton", parse_config(cfg), cfg))
+        generator = build_diffusion_generator(model).generator
+        top = float(np.max(np.linalg.eigvals(generator).real))
+        assert top == pytest.approx(195.0986, abs=1e-4)
+        assert report["skeleton"]["lambda0"] == pytest.approx(top, rel=1e-10)
+
+    def test_exponential_overflow_is_analysis_failure(self, tmp_path, capsys):
+        # P_delta at delta = 10 / 8 grows like exp(1000 delta): past the float
+        # range, so one error line naming delta, exit 1 and no output directory.
+        text = (
+            "model.kind = diffusion\nmodel.b = zero\nmodel.r = const:1000\n"
+            "grid.n = 10\ngrid.L = 1\nskeleton.t0 = 10\n"
+        )
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert run(["skeleton", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("rpos: analysis failed: exp(t A) overflows at t = 1.25")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_girsanov_direct_side_underflow_is_analysis_failure(self, tmp_path, capsys):
         # The skeleton solves (lambda0 t0 = -1.233 * 450), but the direct side
         # decays like exp(-(a - lambda0) t0) = exp(-780): it is 0 in floats and

@@ -29,6 +29,7 @@ from rpos import (
     uniformized_exponential,
     vector_field,
 )
+from rpos.core import NonFiniteError
 from rpos.models import ConfigError, _halved_exponential
 
 
@@ -334,6 +335,51 @@ class TestUniformization:
         assert np.max(np.abs(ours - scipy.linalg.expm(t * A))) <= 1e-10
         assert np.all(ours >= 0.0)
 
+    def test_positive_row_sums_match_expm(self, rng):
+        # Row sums up to 0.5 above zero: ||M||_inf > 1, and the Poisson cut
+        # is taken at nu = Lambda dt ||M||_inf rather than at Lambda dt. The
+        # cut aims at ROUNDOFF_REL = 1e-12 of the sum: up to 6.6e-13 on 5 draws.
+        n = 30
+        A = rng.uniform(0.0, 1.0, (n, n))
+        np.fill_diagonal(A, 0.0)
+        A[np.arange(n), np.arange(n)] = -A.sum(axis=1) + rng.uniform(0, 0.5, n)
+        for t in (0.05, 0.7, 3.0):
+            oracle = scipy.linalg.expm(t * A)
+            ours = uniformized_exponential(A, t)
+            assert np.max(np.abs(ours - oracle)) <= 2e-12 * np.max(oracle)
+
+    def test_constant_diagonal_keeps_its_off_diagonals(self):
+        # After the shift the diagonal is all zero, but B is not.
+        A = np.array([[1.0, 1.0], [1.0, 1.0]])
+        oracle = (np.exp(2.0) * np.ones((2, 2)) + np.array([[1.0, -1.0], [-1.0, 1.0]])) / 2
+        # the series is cut at ROUNDOFF_REL = 1e-12 of its bound (no halving)
+        assert np.max(np.abs(uniformized_exponential(A, 1.0) - oracle)) <= 1e-12 * np.max(oracle)
+
+    def test_top_eigenvalue_to_the_roundoff_of_the_squarings(self):
+        # t = 1 takes 9 halvings here. A Poisson cut at 1e-12 of the sum is
+        # multiplied by up to 2^9 by the squarings and put the top eigenvalue
+        # 1.2e-10 off; the cut at 1e-12 / 2^9 leaves the squarings' own 5e-13.
+        L, grid_n, v = 5.0, 400, 0.5
+        A = build_diffusion_generator(
+            small_diffusion(f"const:{v}", "const:0", L, grid_n=grid_n), n_substeps=1
+        ).generator
+        assert _halved_exponential(A, 1.0)[1] == 9
+        h = L / (grid_n + 1)
+        up, down = 0.5 / h**2 + v / (2 * h), 0.5 / h**2 - v / (2 * h)
+        exact = -1 / h**2 + 2 * np.sqrt(up * down) * np.cos(np.pi / (grid_n + 1))
+        top = float(np.max(np.linalg.eigvals(uniformized_exponential(A, 1.0)).real))
+        assert abs(top - np.exp(exact)) <= 1e-11
+
+    @pytest.mark.parametrize(
+        "i, j, value",
+        [(0, 1, np.inf), (0, 1, np.nan), (1, 1, np.nan), (1, 1, np.inf), (1, 1, -np.inf)],
+    )
+    def test_nonfinite_generator_raises(self, i, j, value):
+        A = -np.eye(4) + 0.5 * np.eye(4, k=1)
+        A[i, j] = value
+        with pytest.raises((NonFiniteError, ValueError)):
+            uniformized_exponential(A, 1.0)
+
     def test_zero_time_is_identity(self, rng):
         A = -np.eye(4)
         assert np.array_equal(uniformized_exponential(A, 0.0), np.eye(4))
@@ -539,6 +585,29 @@ class TestDiffusion:
         assert abs(rep.discrepancy - ref) <= 1e-10 * ref
         assert abs(rep.relative - ref / np.max(direct)) <= 1e-10 * rep.relative
 
+    def test_girsanov_tilt_divides_by_psi_before_the_normalizer(self):
+        # At t0 = 1290, c = exp(a t0) = exp(708) is finite, but c psi
+        # overflows where a t0 + x > 709.8 ("overflow encountered in
+        # multiply", an error under this suite's warning filter).
+        model = DiffusionModel(
+            b=vector_field("zero", 1),
+            r=scalar_field("const:0.0488"),
+            L=10.0,
+            grid_n=30,
+            t0=1290.0,
+        )
+        fam = build_diffusion_generator(model)
+        rep = girsanov_check(fam)
+        psi = fam.psi.values
+        moved = np.linalg.matrix_power(fam.step.kernel, fam.n_substeps) @ psi
+        tilted = np.exp(np.log(moved) - np.log(psi) - fam.a * model.t0)
+        step, halvings = _halved_exponential(fam.shifted_generator, model.t0)
+        direct = np.ones(psi.size)
+        for _ in range(2**halvings):
+            direct = step @ direct
+        ref = np.max(np.abs(tilted - direct))
+        assert abs(rep.discrepancy - ref) <= 1e-10 * ref
+
     def test_girsanov_relative_gap_shows_at_long_horizons(self):
         # Both sides decay like exp(-(a - lambda0) t0). At t0 = 1000 the sup
         # of the gap is 3.9e-237 and reads as agreement, but the direct side
@@ -570,11 +639,12 @@ class TestClosedFormOracles:
         # The central stencil of a constant drift v on (0, L) is tridiagonal
         # Toeplitz on each axis, with top eigenvalue
         # -1/h^2 + 2 sqrt(up down) cos(pi / (n + 1)); the product box adds
-        # dim of them. The uniformized exponential is off by up to 5e-10.
+        # dim of them. The skeleton is off by up to 1.0e-11 (grid 200); the
+        # bound leaves a factor 5 over that.
         h = L / (grid_n + 1)
         up, down = 0.5 / h**2 + v / (2 * h), 0.5 / h**2 - v / (2 * h)
         exact = dim * (-1 / h**2 + 2 * np.sqrt(up * down) * np.cos(np.pi / (grid_n + 1)))
-        assert skeleton_lambda0(f"const:{v}", L, grid_n, dim) == pytest.approx(exact, rel=1e-9)
+        assert skeleton_lambda0(f"const:{v}", L, grid_n, dim) == pytest.approx(exact, rel=5e-11)
 
     def test_killed_ou_converges_at_second_order(self):
         # 1/2 f'' + (1 - x) f' on (0, inf), killed at 0, has top eigenvalue
