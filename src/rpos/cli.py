@@ -138,7 +138,7 @@ _OPERATOR = {"operator": (None, Path, None, "a path")}
 _GRID = {"model.dim": (1, *_INT), "grid.n": (None, *_INT), "grid.L": (None, *_REAL)}
 _KEYS = {
     "spectral": {**_OPERATOR, "n_max": (60, *_COUNT), "tol": (1e-13, *_TOL)},
-    "check-g": {**_OPERATOR, "n1": (1, *_COUNT), "n_max": (100, *_COUNT),
+    "check-g": {**_OPERATOR, "n_max": (100, *_COUNT),
                 "k.indices": ("", str, bool, "a nonempty list of state indices")},
     "reciprocal": {**_OPERATOR, "n_max": (160, *_COUNT), "tol": (1e-12, *_TOL)},
     "model-run": {
@@ -272,7 +272,7 @@ def cmd_check_g(cfg):
         K = _small_set(op.space, tokens, "config key 'k.indices'")
     else:
         K = bundle.get("K", SubsetMask.full(op.space))
-    report_obj = check_condition_g(op, K, psi1, psi2, cfg["n1"], cfg["n_max"])
+    report_obj = check_condition_g(op, K, psi1, psi2, cfg["n_max"])
     report = {"g_report": _plain(report_obj)}
     code = 0 if report_obj.overall else 1
     return code, report, {}, _g_table(report_obj)

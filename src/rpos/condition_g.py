@@ -4,7 +4,8 @@ Given an operator P, a candidate small set K and a weight pair (psi1, psi2),
 the four checks compute the best admissible constants on the grid:
 
 * g1 - local minorization: the largest c1 and minorizing probability nu with
-  ``P_n1(psi1 1_A)(x) >= c1 nu(A) psi1(x)`` for x in K, A subset of K.
+  ``P_n1(psi1 1_A)(x) >= c1 nu(A) psi1(x)`` for x in K, A subset of K, at
+  the first n1 in 1, 2, 4, ... <= 2N where c1 > 0.
 * g2 - Lyapunov drift pair: theta1 (contraction of psi1 off K), theta2
   (expansion of psi2 everywhere), the on-K surplus c2, and the psi2/psi1
   ratio bounds.
@@ -12,7 +13,8 @@ the four checks compute the best admissible constants on the grid:
   over a finite horizon, with a stabilization diagnostic (the true constant
   is a supremum over all n and can only be sampled).
 * g4 - aperiodicity: per-state smallest n4 after which P_n(1_K psi1) stays
-  positive through the horizon.
+  positive for every n, read exactly off the support walk of P_n 1_K, which
+  ends where the supports settle over K or repeat.
 
 ``build_psi2_auto`` constructs the drift function as the inverse-rate-weighted
 series of K-return masses, truncated at the order for which the drift
@@ -109,26 +111,28 @@ def _require_small_set(K: SubsetMask):
         raise ValueError("the candidate small set K must be nonempty")
 
 
-def check_g1(
-    P: TransferOperator, K: SubsetMask, psi1: WeightedFunction, n1: int
-) -> G1Result:
-    """Best single-measure minorization certificate on K.
+def check_g1(P: TransferOperator, K: SubsetMask, psi1: WeightedFunction) -> G1Result:
+    """Best single-measure minorization certificate on K at the first n1 in
+    1, 2, 4, ... <= 2N with positive mass (banded kernels need roughly the
+    diameter of K), or the one at the last n1 tried.
 
     On a finite space the per-point minima over K plus additivity give the
     optimal certificate quantified over all measurable A in K: with
     ``M(x, j) = P_n1(psi1 1_{j})(x) / psi1(x)`` the raw masses are
     ``nu_raw(j) = min_x M(x, j)``, c1 is their sum and nu = nu_raw / c1.
     """
-    if n1 < 1:
-        raise ValueError(f"n1 must be >= 1, got {n1}")
-    return next(check_g1_horizons(P, K, psi1, [n1]))
+    doublings = [2**k for k in range((2 * P.space.size).bit_length())]
+    for g1 in check_g1_horizons(P, K, psi1, doublings):
+        if g1.passed:
+            break
+    return g1
 
 
 def check_g1_horizons(
     P: TransferOperator, K: SubsetMask, psi1: WeightedFunction, horizons
 ):
-    """Yield ``check_g1(P, K, psi1, n1)`` for each n1 of the increasing
-    ``horizons``, all read off one orbit of the K rows of P, so horizon n1
+    """Yield the (G1) certificate at each n1 of the increasing ``horizons``
+    (from 1), all read off one orbit of the K rows of P, so horizon n1
     costs n1 - 1 products of a ``|K| x N`` block and no N x N power.
     """
     _require_small_set(K)
@@ -140,6 +144,8 @@ def check_g1_horizons(
     rows = orbit(P.kernel, P.kernel[idx], left=True)  # K rows of P_1, P_2, ...
     reached = 0
     for n1 in horizons:
+        if n1 <= reached:
+            raise ValueError(f"horizons must increase from 1, got {n1} after {reached}")
         block = next(islice(rows, n1 - reached - 1, None))[:, idx]
         reached = n1
         with np.errstate(over="ignore"):
@@ -257,32 +263,36 @@ def check_g3(
 def check_g4(
     P: TransferOperator, K: SubsetMask, psi1: WeightedFunction, n_max: int = 100
 ) -> G4Result:
-    """Per-state onset of persistent positivity of P_n(1_K psi1) on K.
+    """Per-state onset n4(x) after which P_n(1_K psi1)(x) > 0 for every n.
 
-    For each x in K, n4(x) is the smallest n such that the mass stays
-    strictly positive for every step from n through n_max. The onset must
-    fall within the first three quarters of the horizon; a positivity
-    window that only opens at the very end (a periodic orbit hitting the
-    horizon parity) does not count as stabilized.
+    Walks the support S_n as ``P.kernel @ s > 0`` on a 0/1 vector, exactly:
+    a positive entry times 1.0 never underflows. S -> supp(P 1_S) is
+    monotone, so the walk settles once S_(n-1) is in S_n and S_n covers K
+    (the supports then only grow), or stops at the first support that
+    repeats an earlier one (the cycle then runs forever). n4(x) is one past
+    x's last absence, or None if x misses a support on the cycle. ``n_max``
+    only caps a walk that does neither, and every n4 is then None.
     """
     _require_small_set(K)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     idx = K.indices
-    last_zero = np.zeros(idx.size, dtype=int)
-    steps = orbit(P.kernel, psi1.values * K.member, lambda image: np.max(image) or 1.0)
-    for n, f in enumerate(islice(steps, 1, n_max + 1), start=1):
-        last_zero[f[idx] == 0.0] = n
-        if f.max() <= 0.0:
-            last_zero[:] = n_max
+    last_absent = np.zeros(idx.size, dtype=int)
+    s = psi1.values * K.member > 0.0
+    first_seen = {s.tobytes(): 0}
+    cut = 0  # an absence at step cut or later leaves x no n4; the cap resolves none
+    for n in range(1, n_max + 1):
+        prev, s = s, P.kernel @ s > 0.0
+        last_absent[~s[idx]] = n
+        if s[idx].all() and not (prev & ~s).any():
+            cut = n  # settled: K stays covered from n on
             break
-    horizon_guard = (3 * n_max) // 4
-    n4 = {}
-    for pos, state in enumerate(idx):
-        onset = int(last_zero[pos]) + 1
-        n4[int(state)] = onset if onset <= horizon_guard else None
-    passed = all(v is not None for v in n4.values())
-    return G4Result(n4=n4, passed=passed)
+        start = first_seen.setdefault(s.tobytes(), n)
+        if start < n:
+            cut = start  # S_start, ..., S_(n-1) repeat forever
+            break
+    n4 = {int(x): int(t) + 1 if t < cut else None for x, t in zip(idx, last_absent)}
+    return G4Result(n4=n4, passed=all(v is not None for v in n4.values()))
 
 
 def build_psi2_auto(
@@ -365,13 +375,13 @@ def check_condition_g(
     K: SubsetMask,
     psi1: WeightedFunction,
     psi2: WeightedFunction,
-    n1: int = 1,
     n_max: int = 100,
 ) -> GReport:
-    """Run all four checks on shared inputs and assemble the report; (G3)
-    and (G4) share the horizon ``n_max``."""
+    """Run all four checks on shared inputs and assemble the report. (G1)
+    finds its own horizon n1; ``n_max`` is the horizon (G3) samples and
+    only caps the (G4) support walk."""
     return GReport(
-        g1=check_g1(P, K, psi1, n1),
+        g1=check_g1(P, K, psi1),
         g2=check_g2(P, K, psi1, psi2),
         g3=check_g3(P, K, psi1, n_max),
         g4=check_g4(P, K, psi1, n_max),

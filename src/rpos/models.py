@@ -746,7 +746,8 @@ def run_pds_analysis(
     small set is the smallest centered ball (a sublevel set of the weight,
     radii in steps of 0.5 up to the grid box) whose off-set contraction
     clears that rate with a 10% margin, and the drift function is the
-    self-certifying truncated return series. (G1) uses horizon n1 = 1.
+    self-certifying truncated return series. ``n_g`` is the (G3) horizon
+    and the cap of the (G4) walk; (G1) finds its own horizon.
     """
     build = build_pds_kernel(model)
     P, psi1 = build.operator, build.psi1

@@ -17,7 +17,7 @@ from itertools import islice
 
 import numpy as np
 
-from .condition_g import GReport, check_g1_horizons, check_g2, check_g3, check_g4
+from .condition_g import GReport, check_condition_g
 from .core import Measure, SubsetMask, TransferOperator, WeightedFunction, orbit
 from .transforms import HTransformRecord, h_transform
 
@@ -235,10 +235,9 @@ def certify(inp: ReciprocalInput) -> ReciprocalCertificate:
     psi2 = eta. The profile's length sets the one horizon H = len(zeta) - 1.
     The parameters start at m = 8, lambda = 0.9, rho = 0.95; on failure they
     back off geometrically (m doubles; lambda and rho move halfway to 1)
-    while m <= H, the m whose zeta_m was measured. (G3) and (G4) are
-    checked to H. The minorization horizon is searched in doubling steps
-    until the certificate mass is positive (banded kernels need roughly the
-    diameter of K).
+    while m <= H, the m whose zeta_m was measured. ``check_condition_g``
+    samples (G3) to H, caps the (G4) support walk at H and finds the (G1)
+    horizon itself.
     """
     P, psi, eta, theta0 = inp.P, inp.psi, inp.eta, inp.theta0
     resid = (
@@ -280,12 +279,7 @@ def certify(inp: ReciprocalInput) -> ReciprocalCertificate:
             continue
         K_full = SubsetMask.from_indices(P.space, idx[drift.K.member])
         nu = _minorizing_measure(P, H, u.values, drift)
-        g_report = GReport(
-            g1=_search_g1(P, K_full, psi1),
-            g2=check_g2(P, K_full, psi1, eta),
-            g3=check_g3(P, K_full, psi1, horizon),
-            g4=check_g4(P, K_full, psi1, horizon),
-        )
+        g_report = check_condition_g(P, K_full, psi1, eta, horizon)
         last = ReciprocalCertificate(
             passed=g_report.overall,
             stage="ok" if g_report.overall else "condition-g",
@@ -316,14 +310,6 @@ def certify(inp: ReciprocalInput) -> ReciprocalCertificate:
             f"(profile length {inp.zeta.size})",
         )
     return last
-
-
-def _search_g1(P, K_full, psi1):
-    doublings = [2**k for k in range((2 * P.space.size).bit_length())]
-    for g1 in check_g1_horizons(P, K_full, psi1, doublings):
-        if g1.passed:
-            break
-    return g1
 
 
 def _minorizing_measure(P, H, u, drift):

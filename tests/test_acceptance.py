@@ -21,7 +21,7 @@ from rpos import (
     build_v0,
     certify,
     check_condition_g,
-    check_g1,
+    check_g1_horizons,
     check_g3,
     girsanov_check,
     h_transform,
@@ -94,8 +94,9 @@ def test_criterion_3_geometric_decay(two_state_op):
 def test_criterion_4_condition_g_verifier():
     P = make_operator([[0.6, 0.4], [0.3, 0.7]])
     one = WeightedFunction.ones(P.space)
-    rep = check_condition_g(P, SubsetMask.full(P.space), one, one, n1=1)
+    rep = check_condition_g(P, SubsetMask.full(P.space), one, one)
     assert rep.overall
+    assert rep.g1.n1 == 1
     assert rep.g1.c1 == pytest.approx(0.7, abs=1e-14)
     assert np.allclose(rep.g1.nu.masses, [3.0 / 7.0, 4.0 / 7.0], rtol=1e-13)
     assert rep.g2.theta2 == pytest.approx(1.0, abs=1e-14)
@@ -151,7 +152,10 @@ def test_criterion_6_weight_interchangeability():
         K = SubsetMask.full(P.space)
         if not check_g2(P, K, psi1, psi2).passed:
             continue
-        assert check_g1(P, K, psi1, 1).passed == check_g1(P, K, psi2, 1).passed
+        assert (
+            next(check_g1_horizons(P, K, psi1, [1])).passed
+            == next(check_g1_horizons(P, K, psi2, [1])).passed
+        )
         assert (
             check_g3(P, K, psi1, 60).passed == check_g3(P, K, psi2, 60).passed
         )

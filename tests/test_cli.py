@@ -133,11 +133,12 @@ class TestCheckGCommand:
         op = write_operator(
             tmp_path, dict(TWO_STATE, kernel=[[0.6, 0.4], [0.3, 0.7]])
         )
-        cfg = write_config(tmp_path, f"operator = {op.name}\nn1 = 1\n")
+        cfg = write_config(tmp_path, f"operator = {op.name}\n")
         out = tmp_path / "out"
         code = run(["check-g", "--config", cfg, "--out", out])
         assert code == 0
         rep = json.loads((out / "report.json").read_text())["g_report"]
+        assert rep["g1"]["n1"] == 1
         assert rep["g1"]["c1"] == pytest.approx(0.7, abs=1e-14)
         assert rep["g2"]["theta2"] == pytest.approx(1.0, abs=1e-14)
 
@@ -158,6 +159,16 @@ class TestCheckGCommand:
         assert run(["check-g", "--config", cfg, "--out", out, "--quiet"]) in (0, 1)
         rep = json.loads((out / "report.json").read_text())["g_report"]
         assert list(rep["g4"]["n4"]) == ["0"]
+
+    def test_n1_is_no_longer_a_key(self, tmp_path, capsys):
+        # (G1) finds its own horizon; a config that still sets one is refused
+        op = write_operator(tmp_path, THREE)
+        cfg = write_config(tmp_path, f"operator = {op.name}\nn1 = 1\n")
+        code = run(["check-g", "--config", cfg, "--out", tmp_path / "o"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("rpos: error: unknown config key 'n1'")
+        assert not (tmp_path / "o").exists()
 
 
 class TestReciprocalCommand:
@@ -651,6 +662,25 @@ def test_readme_names_the_declared_keys_of_each_command():
         assert named == set(keys), command
 
 
+#: Backticked words of the README's key bullets that name no key: values,
+#: report fields, operator fields and the profile's symbol.
+README_NON_KEYS = {
+    "pds", "diffusion", "all", "box", "iterations", "psi2", "K", "zeta", "zeta_m",
+    "lambda0", "discrepancy", "relative",
+}
+
+
+def test_readme_names_no_key_a_command_does_not_read():
+    # The converse of the test above: a key no longer in the table may not
+    # linger in its command's bullet, where that test cannot see it.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    for command, keys in DECLARED.items():
+        bullet = re.search(rf"^\* `{command}`[^:]*:(.*?)(?=^\* |^$)", readme, re.M | re.S)
+        words = set(re.findall(r"`([\w.]+)`", bullet.group(1)))
+        named = {w for w in words if not re.search(r"\.(json|csv)$", w)} - README_NON_KEYS
+        assert named == set(keys), command
+
+
 def test_readme_minimal_session_runs():
     # The library tour's one python block runs as README shows it.
     readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -813,7 +843,7 @@ STDOUT = {
         "overall  PASS\n"
     )),
     "check-g-cycle": ("check-g", "k.indices = 0\n", CYCLE, 1, (
-        "g1  FAIL  c1=0 n1=1\n"
+        "g1  PASS  c1=1 n1=2\n"
         "g2  FAIL  theta1=1 theta2=1 c2=0 inf_ratio=1 sup_ratio=1\n"
         "g3  PASS  c3=1 n=100\n"
         "g4  FAIL  n4_max=-\n"
@@ -935,7 +965,8 @@ def test_small_configs_exit_with_a_code(drawn):
 
 @st.composite
 def _operator_bundles(draw):
-    """Operator JSON on 1-5 states with optional n1 and mc.seed config lines.
+    """Operator JSON on 1-5 states with optional report.n_max and mc.seed
+    config lines, model-run keys that these commands leave unread.
 
     Kernels are dense, triangular (reducible), cyclic (periodic), a lazy
     walk (slow gap: power_iterate takes Noda steps) or a Jordan block
@@ -977,9 +1008,9 @@ def _operator_bundles(draw):
         vec = draw(st.none() | vec)
         if vec is not None:
             data[name] = vec
-    n1 = draw(st.none() | st.integers(-1, 3))
+    report_n_max = draw(st.none() | st.integers(-1, 3))
     seed = draw(st.none() | st.sampled_from(["3", "-1", "x"]))
-    text = "" if n1 is None else f"n1 = {n1}\n"
+    text = "" if report_n_max is None else f"report.n_max = {report_n_max}\n"
     return data, text + ("" if seed is None else f"mc.seed = {seed}\n")
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpos import (
     NonFiniteError,
@@ -34,23 +36,23 @@ class TestG1:
     def test_overflowing_mass_is_non_finite(self):
         P = make_operator(np.full((2, 2), 1e308))  # c1 = 2e308
         with pytest.raises(NonFiniteError, match="n1 = 1"):
-            check_g1(P, full_mask(P), ones(P), 1)
+            next(check_g1_horizons(P, full_mask(P), ones(P), [1]))
 
     def test_hand_example(self):
         P = make_operator([[0.6, 0.4], [0.3, 0.7]])
-        res = check_g1(P, full_mask(P), ones(P), 1)
+        res = next(check_g1_horizons(P, full_mask(P), ones(P), [1]))
         assert res.passed
         assert res.c1 == pytest.approx(0.7, abs=1e-15)
         assert np.allclose(res.nu.masses, [3.0 / 7.0, 4.0 / 7.0], rtol=1e-14)
 
     def test_identity_has_no_mixing(self):
         P = make_operator(np.eye(2))
-        res = check_g1(P, full_mask(P), ones(P), 1)
+        res = next(check_g1_horizons(P, full_mask(P), ones(P), [1]))
         assert res.c1 == 0.0 and not res.passed
 
     def test_singleton_k(self, two_state):
         K = SubsetMask.from_indices(two_state["space"], [1])
-        res = check_g1(two_state["P"], K, two_state["one"], 1)
+        res = next(check_g1_horizons(two_state["P"], K, two_state["one"], [1]))
         assert res.c1 == pytest.approx(0.6, abs=1e-15)
         assert res.nu.masses[1] == pytest.approx(1.0, abs=1e-15)
         assert res.nu.masses[0] == 0.0
@@ -59,7 +61,7 @@ class TestG1:
         P = make_operator(random_kernel(rng, 12))
         psi = WeightedFunction(P.space, rng.uniform(0.3, 2.0, 12))
         K = SubsetMask.from_indices(P.space, range(8))
-        res = check_g1(P, K, psi, 2)
+        res = next(check_g1_horizons(P, K, psi, [2]))
         # M(x, j) = P_2(psi 1_{j})(x) / psi(x) by the same arithmetic as check_g1
         idx, v = K.indices, psi.values[K.indices]
         M = (P.kernel[idx] @ P.kernel)[:, idx] * (v[None, :] / v[:, None])
@@ -81,7 +83,8 @@ class TestG1:
         small = SubsetMask.from_indices(P.space, range(4))
         big = SubsetMask.from_indices(P.space, range(8))
         assert (
-            check_g1(P, big, psi, 1).c1 >= check_g1(P, small, psi, 1).c1 - 1e-15
+            next(check_g1_horizons(P, big, psi, [1])).c1
+            >= next(check_g1_horizons(P, small, psi, [1])).c1 - 1e-15
         )
         # enlarging K never increases the off-set contraction rate either
         psi2 = WeightedFunction(P.space, np.ones(10))
@@ -102,18 +105,41 @@ class TestG1:
             nu_raw = expect.min(axis=0)
             assert res.c1 == pytest.approx(nu_raw.sum(), rel=1e-12)
             assert np.allclose(res.c1 * res.nu.masses[idx], nu_raw, rtol=1e-12)
-            assert res.c1 == check_g1(P, K, psi, res.n1).c1
+            assert res.c1 == next(check_g1_horizons(P, K, psi, [res.n1])).c1
 
     def test_rejects_bad_inputs(self, two_state):
         with pytest.raises(ValueError):
-            check_g1(
+            next(check_g1_horizons(
                 two_state["P"],
                 SubsetMask(two_state["space"], [False, False]),
                 two_state["one"],
-                1,
-            )
+                [1],
+            ))
         with pytest.raises(ValueError):
-            check_g1(two_state["P"], full_mask(two_state["P"]), two_state["one"], 0)
+            next(check_g1_horizons(
+                two_state["P"], full_mask(two_state["P"]), two_state["one"], [0]
+            ))
+
+
+class TestG1Search:
+    def test_two_cycle_passes_at_the_second_step(self):
+        # P_1 1_{0} vanishes at state 0; P_2 returns all of it
+        P = make_operator([[0.0, 1.0], [1.0, 0.0]])
+        K = SubsetMask.from_indices(P.space, [0])
+        res = check_g1(P, K, ones(P))
+        assert res.passed and res.n1 == 2 and res.c1 == 1.0
+        assert not next(check_g1_horizons(P, K, ones(P), [1])).passed
+
+    def test_identity_still_fails(self):
+        P = make_operator(np.eye(3))
+        res = check_g1(P, full_mask(P), ones(P))
+        assert not res.passed and res.c1 == 0.0
+        assert res.n1 == 4  # the last doubling <= 2N = 6
+
+    def test_horizons_must_increase(self, two_state):
+        P, one = two_state["P"], two_state["one"]
+        with pytest.raises(ValueError, match="increase"):
+            list(check_g1_horizons(P, full_mask(P), one, [2, 2]))
 
 
 class TestG2:
@@ -201,6 +227,61 @@ class TestG4:
         res = check_g4(P, K, ones(P), 40)
         assert res.passed
         assert res.n4[0] == 2  # the K-mass leaves state 0 for one step
+
+    def test_onset_past_three_quarters_of_the_horizon(self):
+        # returns to 0 take 5a + 8b steps; 27 is the last length none has
+        P = cycles_through_zero(5, 8)
+        K = SubsetMask.from_indices(P.space, [0])
+        for n_max in range(36, 101):
+            res = check_g4(P, K, ones(P), n_max)
+            assert res.passed and res.n4 == {0: 28}, n_max
+
+    def test_seven_and_nine_cycles(self):
+        # the last length 7a + 9b misses is 47
+        P = cycles_through_zero(7, 9)
+        K = SubsetMask.from_indices(P.space, [0])
+        for n_max in (60, 80, 100):
+            res = check_g4(P, K, ones(P), n_max)
+            assert res.passed and res.n4 == {0: 48}, n_max
+
+    @pytest.mark.parametrize("lengths", [[2, 3, 5, 7, 11, 13], [1, 2, 3, 5, 7, 11, 13]])
+    def test_long_support_period_stops_at_the_cap(self, lengths):
+        # one K state on each of six disjoint cycles: the supports repeat
+        # only after lcm(2, 3, 5, 7, 11, 13) = 30030 steps. A looping K
+        # state, positive at every step, gets no n4 either.
+        starts = np.cumsum([0] + lengths[:-1])
+        kernel = np.zeros((sum(lengths), sum(lengths)))
+        for start, length in zip(starts, lengths):
+            for i in range(length):
+                kernel[start + i, start + (i + 1) % length] = 1.0
+        P = make_operator(kernel)
+        K = SubsetMask.from_indices(P.space, starts)
+        res = check_g4(P, K, ones(P), 100)
+        assert not res.passed
+        assert res.n4 == {int(x): None for x in starts}
+
+    def test_growing_supports_settle_before_they_repeat(self):
+        # the support of P_n 1_{100} widens by one site a side each step and
+        # first repeats near n = 100; it settles at n = 1
+        n = 200
+        kernel = 0.5 * np.eye(n) + 0.25 * (np.eye(n, k=1) + np.eye(n, k=-1))
+        P = make_operator(kernel)
+        K = SubsetMask.from_indices(P.space, [100])
+        res = check_g4(P, K, ones(P), 10)
+        assert res.passed and res.n4 == {100: 1}
+
+
+def cycles_through_zero(*lengths):
+    """Cycles of the given lengths sharing state 0, each left with weight 0.5."""
+    size = 1 + sum(length - 1 for length in lengths)
+    kernel = np.zeros((size, size))
+    first = 1
+    for length in lengths:
+        path = [0, *range(first, first + length - 1), 0]
+        first += length - 1
+        for a, b in zip(path, path[1:]):
+            kernel[a, b] = 0.5 if a == 0 else 1.0
+    return make_operator(kernel)
 
 
 class TestBuildPsi2:
@@ -305,8 +386,8 @@ class TestInterchangeability:
             g2 = check_g2(P, K, psi1, psi2)
             if not g2.passed:
                 continue
-            r1a = check_g1(P, K, psi1, 1).passed
-            r1b = check_g1(P, K, psi2, 1).passed
+            r1a = next(check_g1_horizons(P, K, psi1, [1])).passed
+            r1b = next(check_g1_horizons(P, K, psi2, [1])).passed
             assert r1a == r1b
             r3a = check_g3(P, K, psi1, 40).passed
             r3b = check_g3(P, K, psi2, 40).passed
@@ -333,3 +414,53 @@ class TestReportAssembly:
         rep = check_condition_g(P, full_mask(P), ones(P), ones(P))
         assert not rep.g1.passed and not rep.overall
         assert rep.g2.passed  # theta1 = 0 < theta2 = 1 on the full set
+
+
+@st.composite
+def g_instances(draw):
+    """A dense, sparse, lazy-walk or weighted-cycle kernel on 2-12 states with
+    a random nonempty K, positive psi1 and psi2, and a permutation."""
+    n = draw(st.integers(2, 12))
+    kind = draw(st.sampled_from(["dense", "sparse", "lazy-walk", "cycle"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kernel = rng.uniform(0.05, 1.0, (n, n))
+    if kind == "sparse":
+        kernel *= rng.random((n, n)) < 0.3
+    elif kind == "lazy-walk":
+        stay = rng.uniform(0.2, 0.8)
+        kernel = stay * np.eye(n) + (1 - stay) / 2 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    elif kind == "cycle":
+        kernel = np.roll(np.eye(n), 1, axis=1) * rng.uniform(0.5, 2.0, n)
+    member = rng.random(n) < 0.5
+    member[rng.integers(n)] = True
+    psi1, psi2 = rng.uniform(0.5, 2.0, (2, n))
+    return kernel, member, psi1, psi2, rng.permutation(n)
+
+
+def g_summary(kernel, member, psi1, psi2):
+    P = make_operator(kernel)
+    rep = check_condition_g(
+        P,
+        SubsetMask(P.space, member),
+        WeightedFunction(P.space, psi1),
+        WeightedFunction(P.space, psi2),
+        n_max=60,
+    )
+    verdicts = [rep.g1.passed, rep.g2.passed, rep.g3.passed, rep.g4.passed]
+    return verdicts, rep.g1.n1, rep.g4.n4
+
+
+class TestMetamorphic:
+    # Relations the theory makes exact: relabelling the states and scaling
+    # the kernel change no verdict, no (G1) horizon and no onset n4.
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(g_instances())
+    def test_permutation_and_scale_keep_every_verdict(self, drawn):
+        kernel, member, psi1, psi2, perm = drawn
+        verdicts, n1, n4 = g_summary(kernel, member, psi1, psi2)
+        # new state i is old state perm[i]
+        moved = g_summary(kernel[np.ix_(perm, perm)], member[perm], psi1[perm], psi2[perm])
+        assert moved == (verdicts, n1, {i: n4[int(old)] for i, old in enumerate(perm)
+                                        if member[old]})
+        for s in (1e-3, 3.0, 1e3):
+            assert g_summary(s * kernel, member, psi1, psi2) == (verdicts, n1, n4), s
