@@ -17,7 +17,6 @@ from .condition_g import (
     build_psi2_auto,
     check_condition_g,
     check_g1,
-    check_g1_horizons,
     check_g2,
     check_g3,
     check_g4,

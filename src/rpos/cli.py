@@ -384,7 +384,8 @@ def cmd_skeleton(cfg):
     code = 0 if sk.passed else 1
     text = (
         f"lambda0 = {sk.lambda0:.9g}  c_bar = {sk.c_bar:.6g}  "
-        f"c_under = {sk.c_under:.6g}  girsanov = {gir.discrepancy:.3e}"
+        f"c_under = {sk.c_under:.6g}  girsanov = {gir.discrepancy:.3e}  "
+        f"relative = {gir.relative:.3e}"
     )
     return code, report, files, text
 

@@ -5,7 +5,8 @@ the four checks compute the best admissible constants on the grid:
 
 * g1 - local minorization: the largest c1 and minorizing probability nu with
   ``P_n1(psi1 1_A)(x) >= c1 nu(A) psi1(x)`` for x in K, A subset of K, at
-  the first n1 in 1, 2, 4, ... <= 2N where c1 > 0.
+  the first n1 <= 2N where c1 > 0, found in one power-of-two-scaled pass
+  that also stops once the zero pattern of the K rows stops changing.
 * g2 - Lyapunov drift pair: theta1 (contraction of psi1 off K), theta2
   (expansion of psi2 everywhere), the on-K surplus c2, and the psi2/psi1
   ratio bounds.
@@ -112,28 +113,21 @@ def _require_small_set(K: SubsetMask):
 
 
 def check_g1(P: TransferOperator, K: SubsetMask, psi1: WeightedFunction) -> G1Result:
-    """Best single-measure minorization certificate on K at the first n1 in
-    1, 2, 4, ... <= 2N with positive mass (banded kernels need roughly the
-    diameter of K), or the one at the last n1 tried.
+    """Best single-measure minorization certificate on K at the first
+    n1 <= 2N with positive mass, or a FAIL at the step where the search ended.
 
     On a finite space the per-point minima over K plus additivity give the
     optimal certificate quantified over all measurable A in K: with
     ``M(x, j) = P_n1(psi1 1_{j})(x) / psi1(x)`` the raw masses are
     ``nu_raw(j) = min_x M(x, j)``, c1 is their sum and nu = nu_raw / c1.
-    """
-    doublings = [2**k for k in range((2 * P.space.size).bit_length())]
-    for g1 in check_g1_horizons(P, K, psi1, doublings):
-        if g1.passed:
-            break
-    return g1
 
-
-def check_g1_horizons(
-    P: TransferOperator, K: SubsetMask, psi1: WeightedFunction, horizons
-):
-    """Yield the (G1) certificate at each n1 of the increasing ``horizons``
-    (from 1), all read off one orbit of the K rows of P, so horizon n1
-    costs n1 - 1 products of a ``|K| x N`` block and no N x N power.
+    The K rows of P_n take one ``|K| x N`` product a step (none at n = 1),
+    each step divided by a power of two whose exponent is carried, so no
+    digit moves with the kernel's scale. Their zero pattern follows a fixed
+    map, so the search fails at 2N or at the first step whose pattern equals
+    the previous step's (from P_0 = I), which it then keeps for good. Raises
+    NonFiniteError naming n1 where a step holds inf or NaN or where c1
+    leaves the float range.
     """
     _require_small_set(K)
     idx = K.indices
@@ -141,28 +135,31 @@ def check_g1_horizons(
         raise ValueError("psi1 must be positive on K")
     v = psi1.values[idx]
     ratio = v[None, :] / v[:, None]
-    rows = orbit(P.kernel, P.kernel[idx], left=True)  # K rows of P_1, P_2, ...
-    reached = 0
-    for n1 in horizons:
-        if n1 <= reached:
-            raise ValueError(f"horizons must increase from 1, got {n1} after {reached}")
-        block = next(islice(rows, n1 - reached - 1, None))[:, idx]
-        reached = n1
-        with np.errstate(over="ignore"):
-            M = block * ratio
-            nu_raw = M.min(axis=0)
-            c1 = float(nu_raw.sum())
-        if not np.isfinite(c1):
-            raise NonFiniteError(f"(G1) minorization mass overflows at n1 = {n1}")
-        density = np.zeros(P.space.size)
-        if c1 > 0.0:
-            density[idx] = nu_raw / (c1 * P.space.ref_weights[idx])
-        yield G1Result(
-            c1=c1,
-            nu=Measure(P.space, density),
-            n1=int(n1),
-            passed=bool(c1 > 0.0),
-        )
+    rows, scale = P.kernel[idx], 0  # the K rows of P_n1 are rows * 2^scale
+    support = idx[:, None] == np.arange(P.space.size)  # the K rows of P_0 = I
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n1 in range(1, 2 * P.space.size + 1):
+            if n1 > 1:
+                rows = rows @ P.kernel
+            top = rows.max()
+            if not np.isfinite(top):
+                raise NonFiniteError(f"(G1) step n1 = {n1} is non-finite", step=n1)
+            e = int(np.frexp(top)[1])
+            rows, scale = np.ldexp(rows, -e), scale + e
+            nu_raw = (rows[:, idx] * ratio).min(axis=0)
+            mass = float(nu_raw.sum())  # c1 * 2^-scale
+            c1 = float(np.ldexp(mass, scale))
+            if not np.isfinite(c1) or (c1 == 0.0 and mass > 0.0):
+                raise NonFiniteError(f"(G1) mass leaves the float range at n1 = {n1}", step=n1)
+            if c1 > 0.0:
+                break
+            prev, support = support, rows > 0.0
+            if np.array_equal(prev, support):
+                break
+    density = np.zeros(P.space.size)
+    if c1 > 0.0:
+        density[idx] = nu_raw / (mass * P.space.ref_weights[idx])
+    return G1Result(c1=c1, nu=Measure(P.space, density), n1=n1, passed=bool(c1 > 0.0))
 
 
 def check_g2(

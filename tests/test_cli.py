@@ -160,6 +160,24 @@ class TestCheckGCommand:
         rep = json.loads((out / "report.json").read_text())["g_report"]
         assert list(rep["g4"]["n4"]) == ["0"]
 
+    def test_heavy_cycle_is_a_g1_failure_with_a_report(self, tmp_path, capsys):
+        # The 20-cycle with weights 1e10 ends its (G1) search at n1 = 2N as a
+        # FAIL; an unscaled orbit would overflow at step 30 and write nothing.
+        n = 20
+        cycle = {
+            "points": [[float(i)] for i in range(n)],
+            "ref_weights": [1.0] * n,
+            "kernel": (1e10 * np.roll(np.eye(n), 1, axis=1)).tolist(),
+        }
+        op = write_operator(tmp_path, cycle)
+        cfg = write_config(tmp_path, f"operator = {op.name}\n")
+        out = tmp_path / "out"
+        assert run(["check-g", "--config", cfg, "--out", out]) == 1
+        rep = json.loads((out / "report.json").read_text())["g_report"]
+        assert rep["g1"]["pass"] is False and rep["g1"]["n1"] == 2 * n
+        stdout = capsys.readouterr().out
+        assert "g1  FAIL  c1=0 n1=40" in stdout and "overall  FAIL" in stdout
+
     def test_n1_is_no_longer_a_key(self, tmp_path, capsys):
         # (G1) finds its own horizon; a config that still sets one is refused
         op = write_operator(tmp_path, THREE)
@@ -306,7 +324,7 @@ class TestSkeletonCommand:
         "skeleton.substeps = 8\n"
     )
 
-    def test_analysis_runs(self, tmp_path):
+    def test_analysis_runs(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.CFG)
         out = tmp_path / "out"
         code = run(["skeleton", "--config", cfg, "--out", out])
@@ -316,6 +334,12 @@ class TestSkeletonCommand:
         assert report["skeleton"]["lambda0"] < 0.0
         assert report["girsanov"]["discrepancy"] < 0.05
         assert (out / "eq1cont.csv").exists() and (out / "eq2cont.csv").exists()
+        # the relative Girsanov gap is printed next to the absolute one
+        gir = report["girsanov"]
+        assert (
+            f"girsanov = {gir['discrepancy']:.3e}  relative = {gir['relative']:.3e}"
+            in capsys.readouterr().out
+        )
 
     def test_small_pairing_is_not_defective(self, tmp_path):
         # nu_P(eta) of the unnormalized pair is about 1e-24, but it has

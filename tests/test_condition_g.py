@@ -13,7 +13,6 @@ from rpos import (
     build_psi2_auto,
     check_condition_g,
     check_g1,
-    check_g1_horizons,
     check_g2,
     check_g3,
     check_g4,
@@ -36,23 +35,24 @@ class TestG1:
     def test_overflowing_mass_is_non_finite(self):
         P = make_operator(np.full((2, 2), 1e308))  # c1 = 2e308
         with pytest.raises(NonFiniteError, match="n1 = 1"):
-            next(check_g1_horizons(P, full_mask(P), ones(P), [1]))
+            check_g1(P, full_mask(P), ones(P))
 
     def test_hand_example(self):
         P = make_operator([[0.6, 0.4], [0.3, 0.7]])
-        res = next(check_g1_horizons(P, full_mask(P), ones(P), [1]))
-        assert res.passed
+        res = check_g1(P, full_mask(P), ones(P))
+        assert res.passed and res.n1 == 1
         assert res.c1 == pytest.approx(0.7, abs=1e-15)
         assert np.allclose(res.nu.masses, [3.0 / 7.0, 4.0 / 7.0], rtol=1e-14)
 
     def test_identity_has_no_mixing(self):
         P = make_operator(np.eye(2))
-        res = next(check_g1_horizons(P, full_mask(P), ones(P), [1]))
+        res = check_g1(P, full_mask(P), ones(P))
         assert res.c1 == 0.0 and not res.passed
 
     def test_singleton_k(self, two_state):
         K = SubsetMask.from_indices(two_state["space"], [1])
-        res = next(check_g1_horizons(two_state["P"], K, two_state["one"], [1]))
+        res = check_g1(two_state["P"], K, two_state["one"])
+        assert res.n1 == 1
         assert res.c1 == pytest.approx(0.6, abs=1e-15)
         assert res.nu.masses[1] == pytest.approx(1.0, abs=1e-15)
         assert res.nu.masses[0] == 0.0
@@ -61,10 +61,11 @@ class TestG1:
         P = make_operator(random_kernel(rng, 12))
         psi = WeightedFunction(P.space, rng.uniform(0.3, 2.0, 12))
         K = SubsetMask.from_indices(P.space, range(8))
-        res = next(check_g1_horizons(P, K, psi, [2]))
-        # M(x, j) = P_2(psi 1_{j})(x) / psi(x) by the same arithmetic as check_g1
+        res = check_g1(P, K, psi)
+        assert res.n1 == 1
+        # M(x, j) = P(psi 1_{j})(x) / psi(x) by the same arithmetic as check_g1
         idx, v = K.indices, psi.values[K.indices]
-        M = (P.kernel[idx] @ P.kernel)[:, idx] * (v[None, :] / v[:, None])
+        M = P.kernel[np.ix_(idx, idx)] * (v[None, :] / v[:, None])
         nu_raw = M.min(axis=0)
         assert res.c1 == nu_raw.sum()
         assert np.allclose(res.c1 * res.nu.masses[idx], nu_raw, rtol=1e-14, atol=0)
@@ -82,10 +83,7 @@ class TestG1:
         psi = WeightedFunction(P.space, rng.uniform(0.3, 2.0, 10))
         small = SubsetMask.from_indices(P.space, range(4))
         big = SubsetMask.from_indices(P.space, range(8))
-        assert (
-            next(check_g1_horizons(P, big, psi, [1])).c1
-            >= next(check_g1_horizons(P, small, psi, [1])).c1 - 1e-15
-        )
+        assert check_g1(P, big, psi).c1 >= check_g1(P, small, psi).c1 - 1e-15
         # enlarging K never increases the off-set contraction rate either
         psi2 = WeightedFunction(P.space, np.ones(10))
         t_small = check_g2(P, small, psi, psi2).theta1
@@ -93,53 +91,103 @@ class TestG1:
         assert t_big <= t_small + 1e-15
 
     def test_horizons_match_matrix_powers(self, rng):
-        P = make_operator(random_kernel(rng, 9))
-        psi = WeightedFunction(P.space, rng.uniform(0.3, 2.0, 9))
+        # a banded kernel: K = {1, 4, 6} first shares mass at n1 = 3
+        n = 9
+        kernel = np.diag(rng.uniform(0.1, 1.0, n))
+        kernel += np.diag(rng.uniform(0.1, 1.0, n - 1), 1)
+        kernel += np.diag(rng.uniform(0.1, 1.0, n - 1), -1)
+        P = make_operator(kernel)
+        psi = WeightedFunction(P.space, rng.uniform(0.3, 2.0, n))
         K = SubsetMask.from_indices(P.space, [1, 4, 6])
         idx, v = K.indices, psi.values[K.indices]
-        results = list(check_g1_horizons(P, K, psi, [1, 2, 5, 8]))
-        assert [res.n1 for res in results] == [1, 2, 5, 8]
-        for res in results:
-            Kn = np.linalg.matrix_power(P.kernel, res.n1)
-            expect = Kn[np.ix_(idx, idx)] * (v[None, :] / v[:, None])
-            nu_raw = expect.min(axis=0)
-            assert res.c1 == pytest.approx(nu_raw.sum(), rel=1e-12)
-            assert np.allclose(res.c1 * res.nu.masses[idx], nu_raw, rtol=1e-12)
-            assert res.c1 == next(check_g1_horizons(P, K, psi, [res.n1])).c1
+        res = check_g1(P, K, psi)
+        assert res.passed and res.n1 == 3
+        for m in range(1, res.n1 + 1):
+            Kn = np.linalg.matrix_power(P.kernel, m)
+            nu_raw = (Kn[np.ix_(idx, idx)] * (v[None, :] / v[:, None])).min(axis=0)
+            assert (nu_raw.sum() > 0.0) == (m == res.n1)
+        assert res.c1 == pytest.approx(nu_raw.sum(), rel=1e-12)
+        assert np.allclose(res.c1 * res.nu.masses[idx], nu_raw, rtol=1e-12)
 
     def test_rejects_bad_inputs(self, two_state):
         with pytest.raises(ValueError):
-            next(check_g1_horizons(
+            check_g1(
                 two_state["P"],
                 SubsetMask(two_state["space"], [False, False]),
                 two_state["one"],
-                [1],
-            ))
-        with pytest.raises(ValueError):
-            next(check_g1_horizons(
-                two_state["P"], full_mask(two_state["P"]), two_state["one"], [0]
-            ))
+            )
+        with pytest.raises(ValueError, match="positive on K"):
+            check_g1(
+                two_state["P"],
+                full_mask(two_state["P"]),
+                WeightedFunction(two_state["space"], [1.0, 0.0]),
+            )
+
+
+def lazy_walk(n, stay=0.5):
+    """Walk on n sites that stays with ``stay`` and steps each way with the
+    rest halved, killed off both ends."""
+    side = (1.0 - stay) / 2.0
+    return stay * np.eye(n) + side * (np.eye(n, k=1) + np.eye(n, k=-1))
 
 
 class TestG1Search:
+    # The first n1 <= 2N with mass, off one power-of-two-scaled pass that
+    # stops once the zero pattern of the K rows repeats the previous step's.
     def test_two_cycle_passes_at_the_second_step(self):
         # P_1 1_{0} vanishes at state 0; P_2 returns all of it
         P = make_operator([[0.0, 1.0], [1.0, 0.0]])
         K = SubsetMask.from_indices(P.space, [0])
         res = check_g1(P, K, ones(P))
         assert res.passed and res.n1 == 2 and res.c1 == 1.0
-        assert not next(check_g1_horizons(P, K, ones(P), [1])).passed
+
+    def test_three_cycle_passes_at_the_third_step(self):
+        # the first return to 0 is at n = 3, which no doubling of n reaches
+        P = make_operator(np.roll(np.eye(3), 1, axis=1))
+        K = SubsetMask.from_indices(P.space, [0])
+        res = check_g1(P, K, ones(P))
+        assert res.passed and res.n1 == 3 and res.c1 == 1.0
+        assert res.nu.masses[0] == 1.0
 
     def test_identity_still_fails(self):
-        P = make_operator(np.eye(3))
+        # P_1 keeps the zero pattern of P_0 = I, so no later step has mass
+        P = make_operator(np.eye(300))
         res = check_g1(P, full_mask(P), ones(P))
         assert not res.passed and res.c1 == 0.0
-        assert res.n1 == 4  # the last doubling <= 2N = 6
+        assert res.n1 == 1
 
-    def test_horizons_must_increase(self, two_state):
-        P, one = two_state["P"], two_state["one"]
-        with pytest.raises(ValueError, match="increase"):
-            list(check_g1_horizons(P, full_mask(P), one, [2, 2]))
+    def test_lazy_walk_passes_at_half_its_length(self):
+        # row 0 reaches site 19 first at step 19 and row 39 at step 20
+        P = make_operator(lazy_walk(40))
+        res = check_g1(P, full_mask(P), ones(P))
+        assert res.passed and res.n1 == 20
+        assert res.c1 == pytest.approx(1.8189894035458565e-12, rel=1e-12)
+        top = np.linalg.matrix_power(P.kernel, 20).min(axis=0).sum()
+        assert res.c1 == pytest.approx(top, rel=1e-12)
+
+    @pytest.mark.parametrize("s", [1e-12, 1e12])
+    def test_scaled_lazy_walk_keeps_its_n1(self, s):
+        P = make_operator(lazy_walk(40))
+        base = check_g1(P, full_mask(P), ones(P))
+        P = make_operator(s * lazy_walk(40))
+        res = check_g1(P, full_mask(P), ones(P))
+        assert res.passed and res.n1 == 20
+        assert res.c1 == pytest.approx(base.c1 * s**20, rel=1e-12)
+
+    def test_mass_below_the_float_range_is_non_finite(self):
+        # c1 = 1.82e-12 * 1e-600 has no float
+        P = make_operator(1e-30 * lazy_walk(40))
+        with pytest.raises(NonFiniteError, match="n1 = 20") as err:
+            check_g1(P, full_mask(P), ones(P))
+        assert err.value.step == 20
+
+    def test_heavy_cycle_fails_at_twice_its_size(self):
+        # the supports shift round the cycle and change at every step; an
+        # unscaled orbit would overflow at step 31
+        P = make_operator(1e10 * np.roll(np.eye(20), 1, axis=1))
+        res = check_g1(P, full_mask(P), ones(P))
+        assert not res.passed and res.c1 == 0.0
+        assert res.n1 == 40
 
 
 class TestG2:
@@ -386,8 +434,8 @@ class TestInterchangeability:
             g2 = check_g2(P, K, psi1, psi2)
             if not g2.passed:
                 continue
-            r1a = next(check_g1_horizons(P, K, psi1, [1])).passed
-            r1b = next(check_g1_horizons(P, K, psi2, [1])).passed
+            r1a = check_g1(P, K, psi1).passed
+            r1b = check_g1(P, K, psi2).passed
             assert r1a == r1b
             r3a = check_g3(P, K, psi1, 40).passed
             r3b = check_g3(P, K, psi2, 40).passed
@@ -464,3 +512,35 @@ class TestMetamorphic:
                                         if member[old]})
         for s in (1e-3, 3.0, 1e3):
             assert g_summary(s * kernel, member, psi1, psi2) == (verdicts, n1, n4), s
+
+    def test_banded_kernels_keep_n1_and_scale_c1_by_the_power(self):
+        # Lazy walks (K every state) pass near N/2. Weighted cycles with one
+        # chord closing a shorter cycle of length L pass at n1 = L for K the
+        # chord's start, and end as a FAIL at 2N for K every state, whose
+        # supports change at every step. Far scales keep each verdict and n1
+        # and move c1 by s^n1, which an unscaled orbit would lose to underflow
+        # or overflow.
+        rng = np.random.default_rng(11)
+        cases = []
+        for n in range(10, 41, 5):
+            cases.append((lazy_walk(n, rng.uniform(0.2, 0.8)), np.ones(n, bool)))
+            cycle = np.roll(np.eye(n), 1, axis=1) * rng.uniform(0.5, 2.0, n)
+            a, length = int(rng.integers(n)), int(rng.integers(3, min(n, 21)))
+            cycle[a, (a - length + 1) % n] = rng.uniform(0.5, 2.0)
+            cases.append((cycle, np.arange(n) == a))
+            cases.append((cycle, np.ones(n, bool)))
+        for kernel, member in cases:
+            n = kernel.shape[0]
+            psi1 = rng.uniform(0.5, 2.0, n)
+            base = check_g1(*g1_inputs(kernel, member, psi1))
+            assert base.n1 <= n if base.passed else base.n1 == 2 * n
+            for s in (1e-12, 1e12):
+                res = check_g1(*g1_inputs(s * kernel, member, psi1))
+                assert (res.passed, res.n1) == (base.passed, base.n1), (n, s)
+                expect = base.c1 * s**base.n1 if base.passed else 0.0
+                assert res.c1 == pytest.approx(expect, rel=1e-12)
+
+
+def g1_inputs(kernel, member, psi1):
+    P = make_operator(kernel)
+    return P, SubsetMask(P.space, member), WeightedFunction(P.space, psi1)
