@@ -333,9 +333,9 @@ def _assemble_generator(model, space, drift, kill, name):
 
 
 #: Largest ``Lambda dt`` summed as one Poisson series; longer intervals are
-#: halved. On the benchmark's three stencils (N = 400, 600 and 784; build,
-#: skeleton and Girsanov check, one BLAS thread, 2 shared Xeon vCPUs) the
-#: limits 8, 16, 32 and 64 took 0.43, 0.37, 0.38 and 0.42 s.
+#: halved. On the benchmark's three stencils (N = 400, 600 and 784; build
+#: and skeleton, best of 7, one BLAS thread, 2 shared Xeon vCPUs) the limits
+#: 8, 16, 32 and 64 took 0.28-0.30, 0.24-0.26, 0.23-0.24 and 0.23-0.24 s.
 _RATE_DT_MAX = 16.0
 
 
@@ -420,6 +420,54 @@ def _poisson_cut(nu: float, tol: float) -> int:
     return k
 
 
+def _exp_ones(A: np.ndarray, t: float) -> tuple[np.ndarray, int]:
+    """exp(t A) 1 and its number of terms K, for a generator with nonnegative
+    off-diagonals and row sums at most 0.
+
+    With Lambda = max(-A_ii), M = I + A / Lambda is substochastic, so
+    exp(t A) 1 is the Poisson(Lambda t) mixture of the vectors M^k 1, each in
+    [0, 1]. The series is cut at ``_poisson_cut(Lambda t, ROUNDOFF_REL)`` and
+    summed by Horner on the ones vector: K sparse products and no N x N
+    array. A row sum above round-off raises ValueError, since M would not be
+    substochastic and the Poisson tail would not bound the cut.
+    """
+    from scipy.sparse import csr_array
+
+    _finite(A, "generator is non-finite")
+    n = A.shape[0]
+    lam = float(np.max(-np.diag(A)))
+    top_row = float(np.max(A.sum(axis=1)))
+    if top_row > ROUNDOFF_REL * lam:
+        raise ValueError(f"generator has a positive row sum {top_row:.6g}; M is not substochastic")
+    pattern = A != 0.0
+    np.fill_diagonal(pattern, True)
+    rows, cols = np.nonzero(pattern)
+    vals = A[rows, cols] / lam
+    vals[rows == cols] += 1.0
+    M = csr_array((vals, cols, np.searchsorted(rows, np.arange(n + 1))), shape=(n, n))
+    nu = lam * t
+    K = _poisson_cut(nu, ROUNDOFF_REL)
+    w = _poisson_weights(nu, K)
+    acc = np.full(n, w[-1])
+    for c in reversed(w[:-1]):
+        acc = M @ acc
+        acc += c
+    return acc, K
+
+
+def _poisson_weights(nu: float, K: int) -> np.ndarray:
+    """The Poisson(nu) weights of 0..K, K >= nu, over their sum.
+
+    They grow outward from the mode floor(nu) by the ratios w_(k+1) / w_k =
+    nu / (k + 1), since e^-nu underflows from nu = 745 on.
+    """
+    m = int(nu)
+    up = np.cumprod(nu / np.arange(m + 1, K + 1))
+    down = np.cumprod(np.arange(m, 0, -1) / nu)
+    w = np.concatenate([down[::-1], [1.0], up])
+    return w / w.sum()
+
+
 def _exp(x: float, t: float) -> float:
     """e^x, or NonFiniteError naming t where it leaves the float range."""
     try:
@@ -448,7 +496,8 @@ class DiffusionFamily:
     step: TransferOperator
     n_substeps: int
     psi: WeightedFunction
-    #: the shifted-drift generator and the tilt rate a of ``girsanov_check``
+    #: the shifted-drift generator A_bar, whose exp(t0 A_bar) 1
+    #: ``girsanov_check`` sums as one sparse Poisson series, and the tilt rate a
     shifted_generator: np.ndarray
     a: float
 
@@ -461,8 +510,10 @@ def build_diffusion_generator(
     The step S = P_delta is one uniformized exponential at delta =
     t0 / n_substeps, entrywise nonnegative; ``skeleton_analysis`` powers it
     to P_t0 and ``girsanov_check`` applies it n_substeps times. The stencil
-    of ``girsanov_check`` is assembled too, before the exponential, so a
-    mesh too coarse for either fails at once.
+    of ``girsanov_check`` and its tilt psi = exp(sum_i x_i) are made too,
+    before the exponential, so a mesh too coarse for either stencil, or a
+    box where psi leaves the float range (NonFiniteError naming the largest
+    sum x), fails at once.
     """
     h = model.h
     nodes = _mesh([h * np.arange(1, model.grid_n + 1)] * model.dim)
@@ -474,8 +525,13 @@ def build_diffusion_generator(
     a = model.dim / 2.0 + float(np.max(r_vals + drift.sum(axis=1)))
     kappa = a - r_vals - model.dim / 2.0 - drift.sum(axis=1)
     A_bar = _assemble_generator(model, space, drift + 1.0, kappa, "Girsanov drift b + 1")
+    x_sum = pts.sum(axis=1)
+    with np.errstate(over="ignore"):
+        psi = WeightedFunction(space, np.exp(x_sum))
+    if not np.all(np.isfinite(psi.values)):
+        top = float(np.max(x_sum))
+        raise NonFiniteError(f"Girsanov tilt exp(sum x) overflows at sum x = {top:.6g}")
     step = TransferOperator(space, uniformized_exponential(A, model.t0 / n_substeps))
-    psi = WeightedFunction(space, np.exp(pts.sum(axis=1)))
     return DiffusionFamily(model, A, step, n_substeps, psi, A_bar, a)
 
 
@@ -506,10 +562,10 @@ def girsanov_check(family: DiffusionFamily) -> GirsanovReport:
     ``kappa = a - r - d/2 - sum_i b_i >= 0``, up to mesh error. Only their
     action on the constant function is compared: the tilt's is
     S^n psi / (c psi), the row masses of ``tilt_submarkov``, with the step
-    applied n times to psi, and the direct exponential's halved step is
-    applied 2^h times to the ones vector, not squared h times. A normalizer
-    outside the float range, or a direct side that underflows to 0, raises
-    NonFiniteError naming a t0.
+    applied n times to psi, and the direct side's exp(t0 A_bar) 1 is one
+    Poisson series over the whole horizon, summed on the ones vector with
+    sparse products. A normalizer outside the float range, or a direct side
+    that underflows to 0, raises NonFiniteError naming a t0.
     """
     model = family.model
     at0 = family.a * model.t0
@@ -519,9 +575,8 @@ def girsanov_check(family: DiffusionFamily) -> GirsanovReport:
         c = math.inf
     if not 0.0 < c < math.inf:
         raise NonFiniteError(f"Girsanov normalizer exp(a t0) is {c} at a t0 = {at0:.6g}")
-    step, halvings = _halved_exponential(family.shifted_generator, model.t0)
+    direct, _ = _exp_ones(family.shifted_generator, model.t0)
     psi = family.psi.values
-    direct = next(islice(orbit(step, np.ones(psi.size)), 2**halvings, None))
     tilted = next(islice(orbit(family.step.kernel, psi), family.n_substeps, None)) / psi / c
     peak = float(np.max(np.abs(direct)))
     if peak == 0.0:

@@ -372,6 +372,29 @@ class TestSkeletonCommand:
         assert "a t0 = 1097.6" in err
         assert not out.exists()
 
+    def test_tilt_weight_overflow_is_analysis_failure(self, tmp_path, capsys, monkeypatch):
+        # The tilt psi = exp(x) passes the float range from x = 709.8 on, and
+        # the box reaches 789; 800 nodes keep h <= 1 for the drift b + 1. One
+        # error line naming the largest x, before either exponential is taken
+        # and with no overflow warning (an error under this suite's filter).
+        text = (
+            "model.kind = diffusion\nmodel.b = zero\nmodel.r = const:0\n"
+            "grid.n = 800\ngrid.L = 790\nskeleton.t0 = 1\n"
+        )
+        cfg = write_config(tmp_path, text)
+
+        def no_exponential(A, t):
+            raise AssertionError("exponential taken before the tilt was checked")
+
+        monkeypatch.setattr("rpos.models.uniformized_exponential", no_exponential)
+        out = tmp_path / "out"
+        assert run(["skeleton", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "rpos: analysis failed: Girsanov tilt exp(sum x) overflows at sum x = 789.014\n"
+        )
+        assert not out.exists()
+
     def test_constant_potential_keeps_the_stencil(self, tmp_path):
         # r = 200 > 1/h^2 = 121 makes every diagonal entry 79; the shift that
         # takes it to 0 must leave the off-diagonals in the exponential.

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -29,8 +30,14 @@ from rpos import (
     uniformized_exponential,
     vector_field,
 )
-from rpos.core import NonFiniteError
-from rpos.models import ConfigError, _halved_exponential
+from rpos.core import ROUNDOFF_REL, NonFiniteError
+from rpos.models import (
+    ConfigError,
+    _exp_ones,
+    _halved_exponential,
+    _poisson_cut,
+    _poisson_weights,
+)
 
 
 def test_import_loads_no_scipy_module():
@@ -391,6 +398,58 @@ class TestUniformization:
             uniformized_exponential(-np.eye(4) + 0.5 * np.eye(4, k=1), t)
 
 
+def shifted_family(dim, grid_n, L, t0):
+    model = DiffusionModel(
+        b=vector_field("affine:1,-1", dim),
+        r=scalar_field("const:0"),
+        L=L,
+        grid_n=grid_n,
+        t0=t0,
+        dim=dim,
+    )
+    return build_diffusion_generator(model)
+
+
+class TestOnesSeries:
+    @pytest.mark.parametrize(
+        "dim, grid_n, L, t0, terms",
+        [(1, 10, 3.0, 0.5, 35), (1, 400, 12.0, 1.0, 1373), (2, 28, 5.0, 1.0, 146)],
+    )
+    def test_matches_the_dense_exponential_on_the_ones_vector(self, dim, grid_n, L, t0, terms):
+        A = shifted_family(dim, grid_n, L, t0).shifted_generator
+        ours, k = _exp_ones(A, t0)
+        oracle = scipy.linalg.expm(t0 * A) @ np.ones(A.shape[0])
+        assert np.max(np.abs(ours - oracle)) <= ROUNDOFF_REL * np.max(oracle)
+        assert k == terms == _poisson_cut(float(np.max(-np.diag(A))) * t0, ROUNDOFF_REL)
+
+    def test_weights_past_the_exponential_underflow(self):
+        # e^-nu is 0 in floats here; the weights grow out from the mode instead.
+        nu = 13188.0
+        w = _poisson_weights(nu, _poisson_cut(nu, ROUNDOFF_REL))
+        assert np.all(np.isfinite(w))
+        assert abs(w.sum() - 1.0) <= 1e-12
+        mode = np.exp(nu * np.log(nu) - nu - math.lgamma(nu + 1.0))
+        assert w[int(nu)] == pytest.approx(mode, rel=1e-9)
+
+    def test_positive_row_sum_is_refused(self):
+        A = np.array([[-1.0, 1.5], [0.5, -1.0]])
+        with pytest.raises(ValueError, match="positive row sum 0.5"):
+            _exp_ones(A, 1.0)
+
+    def test_girsanov_holds_no_dense_square(self):
+        fam = shifted_family(2, 28, 5.0, 1.0)
+        nbytes = fam.step.space.size**2 * 8
+        # the series imports scipy.sparse lazily: not to be counted
+        girsanov_check(shifted_family(1, 10, 3.0, 0.5))
+        tracemalloc.start()
+        try:
+            girsanov_check(fam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < nbytes, f"peak {peak / nbytes:.2f} N^2 floats"
+
+
 class TestDiffusion:
     @pytest.mark.parametrize("name", ["L", "t0"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -544,17 +603,10 @@ class TestDiffusion:
         [(1, 10, 3.0, 0.5, 0), (1, 400, 12.0, 1.0, 7), (2, 28, 5.0, 1.0, 3)],
     )
     def test_girsanov_matches_the_dense_exponential(self, dim, grid_n, L, t0, halvings):
-        # the halved step applied 2^h times to the ones vector stands for the
-        # dense exp(t0 A_bar), which squares that step h times
-        model = DiffusionModel(
-            b=vector_field("affine:1,-1", dim),
-            r=scalar_field("const:0"),
-            L=L,
-            grid_n=grid_n,
-            t0=t0,
-            dim=dim,
-        )
-        fam = build_diffusion_generator(model)
+        # the check's one Poisson series on the ones vector (its term counts
+        # in TestOnesSeries) stands for the dense exp(t0 A_bar), whose step
+        # is halved h times and squared back
+        fam = shifted_family(dim, grid_n, L, t0)
         assert _halved_exponential(fam.shifted_generator, t0)[1] == halvings
         rep = girsanov_check(fam)
         tilt = tilt_submarkov(p_t0(fam), fam.psi, c=np.exp(fam.a * t0))
@@ -577,10 +629,7 @@ class TestDiffusion:
         fam = build_diffusion_generator(model, n_substeps=n)
         rep = girsanov_check(fam)
         tilt = tilt_submarkov(p_t0(fam), fam.psi, c=np.exp(fam.a * model.t0))
-        step, halvings = _halved_exponential(fam.shifted_generator, model.t0)
-        direct = np.ones(fam.step.space.size)
-        for _ in range(2**halvings):
-            direct = step @ direct
+        direct = scipy.linalg.expm(model.t0 * fam.shifted_generator) @ np.ones(fam.step.space.size)
         ref = np.max(np.abs(tilt.row_masses - direct))
         assert abs(rep.discrepancy - ref) <= 1e-10 * ref
         assert abs(rep.relative - ref / np.max(direct)) <= 1e-10 * rep.relative
