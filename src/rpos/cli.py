@@ -468,27 +468,27 @@ def _g_table(g: GReport) -> str:
     return "\n".join(lines)
 
 
-def _operator_json(op: TransferOperator) -> str:
-    """The operator file ``load_operator_bundle`` reads, as ``json.dumps``
-    with ``indent=2`` writes it with each array as its ``tolist()``, plus a
-    final newline."""
-    out = ["{"]
+def _operator_json(op: TransferOperator):
+    """The chunks of the operator file ``load_operator_bundle`` reads, as
+    ``json.dumps`` with ``indent=2`` writes it with each array as its
+    ``tolist()``, plus a final newline."""
+    opening = "{"
     for key, array in (
         ("points", op.space.points),
         ("ref_weights", op.space.ref_weights),
         ("kernel", op.kernel),
     ):
-        out.append(f'\n  "{key}": ')
-        _encode_floats(array, "\n  ", out)
-        out.append(",")
-    out[-1] = "\n}\n"  # no comma after the last array
-    return "".join(out)
+        yield f'{opening}\n  "{key}": '
+        yield from _encode_floats(array, "\n  ")
+        opening = ","  # a comma between arrays, none after the last
+    yield "\n}\n"
 
 
 #: Rows per chunk of ``_encode_floats``: one gather from the token table,
-#: or one ``tolist`` for the lists. It bounds memory: a whole 800 x 800
-#: kernel at once holds 640 000 more references, or Python floats, and its
-#: lists took 0.65 s against 0.57 s in chunks.
+#: or one ``tolist`` for the lists, and the most text held at once: a chunk
+#: is written before the next is made. A whole 800 x 800 kernel at once
+#: holds 640 000 more references, or Python floats, and its lists took
+#: 0.65 s against 0.57 s in chunks.
 _BLOCK_ROWS = 64
 #: The share of distinct entries from which an array is written as lists,
 #: one ``json.dumps`` per row: a table saves it few reprs and costs a
@@ -500,44 +500,51 @@ _BLOCK_ROWS = 64
 _TABLE_SHARE = 0.75
 
 
-def _encode_floats(array, newline, out):
-    """Append the indented encoding of a nonempty float64 array of 1 or 2
-    dimensions.
+def _encode_floats(array, newline):
+    """The indented encoding of a nonempty float64 array of 1 or 2
+    dimensions, in chunks of at most ``_BLOCK_ROWS`` rows.
 
-    One sort of the int64 bit view counts the distinct entries. Mostly
-    distinct arrays are written one ``json.dumps`` per row. Otherwise
-    ``np.unique`` of the bit view gives the distinct entries and each
-    entry's index among them, and one ``json.dumps`` of the distinct
-    entries, split at ``", "``, gives their tokens, so NaN, Infinity, -0.0,
-    1e+16 and 5e-324 read as json writes them; the bit view keeps -0.0
-    apart from 0.0. The table holds each token twice: followed by the item
-    separator, and followed by the text between two rows, which the last
-    column indexes. A chunk of rows is then one gather from that table and
+    One argsort of the int64 bit view (which keeps -0.0 apart from 0.0)
+    orders the entries. A change in the sorted bits starts a distinct
+    entry: those flags count the distinct entries, and their running sum,
+    scattered back through the permutation, is each entry's index among
+    them. Mostly distinct arrays are written one ``json.dumps`` per row.
+    Otherwise one ``json.dumps`` of the distinct entries, split at ``", "``,
+    gives their tokens, so NaN, Infinity, -0.0, 1e+16 and 5e-324 read as
+    json writes them. The table holds each token twice: followed by the
+    item separator, and followed by the text between two rows, which the
+    last column indexes. A chunk of rows is one gather from that table and
     one ``str.join``, with no Python step per entry.
     """
     rows = np.ascontiguousarray(array).reshape(-1, array.shape[-1])
     line = newline + "  " if array.ndim == 2 else newline  # a row's newline
     item = "," + line + "  "
     row_sep = line + "]," + line + "[" + line + "  "
-    out.append(("[" + line if array.ndim == 2 else "") + "[" + line + "  ")
-    bits = rows.view(np.int64)
-    ordered = np.sort(bits, axis=None)
+    yield ("[" + line if array.ndim == 2 else "") + "[" + line + "  "
+    bits = rows.view(np.int64).ravel()
+    order = np.argsort(bits)
+    ordered = bits[order]
+    new = np.r_[True, ordered[1:] != ordered[:-1]]
+    del ordered
     table = None
-    if np.count_nonzero(ordered[1:] != ordered[:-1]) < _TABLE_SHARE * bits.size:
-        distinct, index = np.unique(bits, return_inverse=True)
-        tokens = json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", ")
+    if np.count_nonzero(new) < _TABLE_SHARE * bits.size:
+        index = np.empty(rows.shape, dtype=np.int32)
+        index.ravel()[order] = np.cumsum(new, dtype=np.int32)
+        index -= 1
+        tokens = json.dumps(bits[order[new]].view(np.float64).tolist())[1:-1].split(", ")
         table = np.array([t + item for t in tokens] + [t + row_sep for t in tokens], dtype=object)
-        index = index.reshape(rows.shape)
         index[:, -1] += len(tokens)
+    del order, new
     for start in range(0, len(rows), _BLOCK_ROWS):
         chunk = slice(start, start + _BLOCK_ROWS)
         if table is None:
-            out.extend(json.dumps(row)[1:-1].replace(", ", item) + row_sep
-                       for row in rows[chunk].tolist())
+            text = "".join(json.dumps(row)[1:-1].replace(", ", item) + row_sep
+                           for row in rows[chunk].tolist())
         else:
-            out.append("".join(table[index[chunk]].ravel().tolist()))
-    out[-1] = out[-1][:-len(row_sep)]  # the last row ends the array
-    out.append(line + "]" + (newline + "]" if array.ndim == 2 else ""))
+            text = "".join(table[index[chunk]].ravel().tolist())
+        if start + _BLOCK_ROWS >= len(rows):  # the last row ends the array
+            text = text[:-len(row_sep)] + line + "]" + (newline + "]" if array.ndim == 2 else "")
+        yield text
 
 
 def _write_all(out_dir: Path, outputs: dict):
@@ -552,7 +559,8 @@ def _write_all(out_dir: Path, outputs: dict):
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         for temp, content in zip(temps.values(), outputs.values()):
-            temp.write_text(content, newline="\n")
+            with temp.open("w", newline="\n") as handle:
+                handle.writelines([content] if isinstance(content, str) else content)
         for target, temp in temps.items():
             temp.replace(target)
     finally:

@@ -223,10 +223,17 @@ def build_pds_kernel(model: PdsModel) -> PdsKernel:
     Fx = np.asarray(model.F(pts), dtype=float).reshape(n, model.dim)
     sd = model.noise_sd
 
-    kernel = np.ones((n, n))
+    # In one work array: exp(-0.5 ((x_j - F(x_i)) / sd)^2) / (sd sqrt(2 pi)), in order.
+    kernel, work = np.ones((n, n)), np.empty((n, n))
     for d in range(model.dim):
-        diff = (pts[None, :, d] - Fx[:, None, d]) / sd
-        kernel *= np.exp(-0.5 * diff**2) / (sd * math.sqrt(2.0 * math.pi))
+        np.subtract(pts[None, :, d], Fx[:, None, d], out=work)
+        work /= sd
+        np.square(work, out=work)
+        np.multiply(-0.5, work, out=work)
+        np.exp(work, out=work)
+        work /= sd * math.sqrt(2.0 * math.pi)
+        kernel *= work
+    del work  # before TransferOperator copies the kernel
     g_vals = np.asarray(model.G(pts), dtype=float)
     if np.any(g_vals <= 0.0):
         raise ConfigError("penalty G must be positive on the grid")

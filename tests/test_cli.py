@@ -4,6 +4,7 @@ import importlib
 import json
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from rpos.cli import (
     UsageError,
     _encode_floats,
     _operator_json,
+    _write_all,
     diffusion_from_config,
     load_operator_bundle,
     main,
@@ -1107,12 +1109,10 @@ def _float_arrays(draw):
 @example(np.array([-0.0]), 2)
 def test_dumps_writes_float_arrays_as_their_lists(array, depth):
     newline = "\n" + "  " * depth
-    out = []
-    _encode_floats(array, newline, out)
     expected = json.dumps(array.tolist(), indent=2).replace("\n", newline)
     # A bool: pytest would diff the two texts at every failing call, which
     # takes minutes on kernel-sized strings.
-    same = "".join(out) == expected
+    same = "".join(_encode_floats(array, newline)) == expected
     assert same
 
 
@@ -1139,7 +1139,8 @@ def test_kernel_json_reprs_each_distinct_entry_once(monkeypatch):
         return dumps(obj, *args, **kwargs)
 
     monkeypatch.setattr(json, "dumps", counting)
-    _encode_floats(kernel, "\n  ", [])
+    for _ in _encode_floats(kernel, "\n  "):
+        pass
     assert sum(passed) == np.unique(kernel.view(np.int64)).size < kernel.size
 
 
@@ -1154,5 +1155,39 @@ def test_kernel_json_without_repeats_is_json_dumps(dim, grid_n):
                      noise_sd=1.0, grid_n=grid_n, L=10.0,
                      p=2.0, a=2.0, dim=dim)
     op = build_pds_kernel(model).operator
-    same = _operator_json(op) == json.dumps(operator_layout(op), indent=2) + "\n"
+    same = "".join(_operator_json(op)) == json.dumps(operator_layout(op), indent=2) + "\n"
     assert same  # a bool, as above
+
+
+def test_kernel_json_is_written_in_row_chunks(tmp_path):
+    # The file was held whole, as its chunks and again as their join, beside
+    # the sort's temporaries: a traced peak of 2.0 times its size here.
+    from rpos import build_pds_kernel
+    from rpos.models import PdsModel, scalar_field, vector_field
+
+    model = PdsModel(F=vector_field("linear:0.25", 1), G=scalar_field("const:1"),
+                     noise_sd=1.0, grid_n=800, L=10.0, p=2.0, a=2.0, dim=1)
+    op = build_pds_kernel(model).operator
+    tracemalloc.start()
+    try:
+        _write_all(tmp_path, {"kernel.json": _operator_json(op)})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (tmp_path / "kernel.json").stat().st_size
+    # Each row of a chunk ends in the "[" that opens the next.
+    assert max(chunk.count("[") for chunk in _operator_json(op)) == _BLOCK_ROWS
+
+
+def test_body_failing_mid_stream_writes_no_output(tmp_path, monkeypatch):
+    # kernel.json is encoded while it is written, after report.json.
+    def failing(array, newline):
+        yield "["
+        raise RuntimeError("encoder failed")
+
+    monkeypatch.setattr("rpos.cli._encode_floats", failing)
+    cfg = write_config(tmp_path, TestModelRunCommand.CFG.replace("grid.n = 160", "grid.n = 40"))
+    out = tmp_path / "o"
+    with pytest.raises(RuntimeError, match="encoder failed"):
+        run(["model-run", "--config", cfg, "--out", out, "--quiet"])
+    assert list(out.iterdir()) == []
