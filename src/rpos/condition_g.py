@@ -6,7 +6,7 @@ the four checks compute the best admissible constants on the grid:
 * g1 - local minorization: the largest c1 and minorizing probability nu with
   ``P_n1(psi1 1_A)(x) >= c1 nu(A) psi1(x)`` for x in K, A subset of K, at
   the first n1 <= 2N where c1 > 0, found in one power-of-two-scaled pass
-  that also stops once the zero pattern of the K rows stops changing.
+  that also stops once the zero pattern of the K rows repeats.
 * g2 - Lyapunov drift pair: theta1 (contraction of psi1 off K), theta2
   (expansion of psi2 everywhere), the on-K surplus c2, and the psi2/psi1
   ratio bounds.
@@ -123,11 +123,12 @@ def check_g1(P: TransferOperator, K: SubsetMask, psi1: WeightedFunction) -> G1Re
 
     The K rows of P_n take one ``|K| x N`` product a step (none at n = 1),
     each step divided by a power of two whose exponent is carried, so no
-    digit moves with the kernel's scale. Their zero pattern follows a fixed
-    map, so the search fails at 2N or at the first step whose pattern equals
-    the previous step's (from P_0 = I), which it then keeps for good. Raises
-    NonFiniteError naming n1 where a step holds inf or NaN or where c1
-    leaves the float range.
+    digit moves with the kernel's scale. Whether c1 > 0 depends only on
+    their zero pattern, which follows a fixed map, so the search fails at
+    2N or at the first step whose pattern repeats an earlier one (from
+    P_0 = I): the patterns then cycle for good. Each pattern is kept packed,
+    |K| N / 8 bytes a step. Raises NonFiniteError naming n1 where a step
+    holds inf or NaN or where c1 leaves the float range.
     """
     _require_small_set(K)
     idx = K.indices
@@ -136,7 +137,7 @@ def check_g1(P: TransferOperator, K: SubsetMask, psi1: WeightedFunction) -> G1Re
     v = psi1.values[idx]
     ratio = v[None, :] / v[:, None]
     rows, scale = P.kernel[idx], 0  # the K rows of P_n1 are rows * 2^scale
-    support = idx[:, None] == np.arange(P.space.size)  # the K rows of P_0 = I
+    seen = {np.packbits(idx[:, None] == np.arange(P.space.size)).tobytes()}  # P_0 = I
     with np.errstate(over="ignore", invalid="ignore"):
         for n1 in range(1, 2 * P.space.size + 1):
             if n1 > 1:
@@ -153,9 +154,10 @@ def check_g1(P: TransferOperator, K: SubsetMask, psi1: WeightedFunction) -> G1Re
                 raise NonFiniteError(f"(G1) mass leaves the float range at n1 = {n1}", step=n1)
             if c1 > 0.0:
                 break
-            prev, support = support, rows > 0.0
-            if np.array_equal(prev, support):
+            pattern = np.packbits(rows > 0.0).tobytes()
+            if pattern in seen:
                 break
+            seen.add(pattern)
     density = np.zeros(P.space.size)
     if c1 > 0.0:
         density[idx] = nu_raw / (mass * P.space.ref_weights[idx])

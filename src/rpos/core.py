@@ -23,8 +23,8 @@ import numpy as np
 #: Relative size below which a quantity is round-off: the floor of every
 #: convergence fit, the slack of the pointwise and row-mass comparisons, the
 #: support threshold of the h-transform and the error target of the
-#: uniformized exponential after its h squarings (a Poisson cut at this / 2^h)
-#: and of the series for exp(t A) 1, whose generator's row sums it bounds.
+#: uniformized Poisson series, for exp(t A) after its h squarings (a cut at
+#: this / 2^h) and for exp(t A) 1.
 ROUNDOFF_REL = 1e-12
 
 

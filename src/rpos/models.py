@@ -213,8 +213,8 @@ def build_pds_kernel(model: PdsModel) -> PdsKernel:
     beyond the grid box is computed in closed form; the build fails when it
     exceeds 1%.
     """
-    # Imported here, as in _halved_exponential: at module level it adds
-    # scipy.special to every import of rpos.
+    # Imported here, as scipy.sparse is in _uniformized: at module level it
+    # adds scipy.special to every import of rpos.
     from scipy.special import ndtr
 
     pts, cell_w = _grid_points(model)
@@ -339,44 +339,47 @@ def _assemble_generator(model, space, drift, kill, name):
     return A
 
 
-#: Largest ``Lambda dt`` summed as one Poisson series; longer intervals are
-#: halved. On the benchmark's three stencils (N = 400, 600 and 784; build
-#: and skeleton, best of 7, one BLAS thread, 2 shared Xeon vCPUs) the limits
-#: 8, 16, 32 and 64 took 0.28-0.30, 0.24-0.26, 0.23-0.24 and 0.23-0.24 s.
+#: Largest ``Lambda dt`` summed as one Poisson series from the identity;
+#: longer intervals are halved. On the benchmark's three stencils (N = 400,
+#: 600 and 784; build and skeleton, best of 7, one BLAS thread, 2 shared Xeon
+#: vCPUs) the limits 8, 16, 32 and 64 took 0.28-0.30, 0.24-0.26, 0.23-0.24
+#: and 0.23-0.24 s.
 _RATE_DT_MAX = 16.0
 
 
 def uniformized_exponential(A: np.ndarray, t: float) -> np.ndarray:
     """exp(t A) for a generator with nonnegative off-diagonals, as a dense array.
 
-    Shifts the diagonal nonpositive if needed and writes the remainder as
-    ``Lambda (M - I)`` with M nonnegative, held sparse. When ``Lambda t``
-    exceeds ``_RATE_DT_MAX`` the interval is halved h times. The Poisson
-    series of the halved step is cut a priori, where the Poisson tail bound
-    is below ``ROUNDOFF_REL / 2^h``, and summed by Horner, one stencil
-    product a term. The h squarings that follow are dense and preserve
+    The Poisson series of ``_uniformized`` from the identity, on the step
+    t / 2^h, squared back h times. The squarings are dense and preserve
     entrywise nonnegativity exactly (unlike Pade scaling-and-squaring). A
     generator holding inf or NaN, or a result past the float range, raises
     NonFiniteError.
     """
     if not 0.0 <= t < math.inf:
         raise ValueError("time must be finite and nonnegative")
-    acc, halvings = _halved_exponential(A, t)
+    acc, _, halvings = _uniformized(A, t, np.eye(A.shape[0]))
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(halvings):
             acc = acc @ acc
     return _finite(acc, f"exp(t A) overflows at t = {t:.6g}")
 
 
-def _halved_exponential(A: np.ndarray, t: float) -> tuple[np.ndarray, int]:
-    """exp(dt A) and h, for dt = t / 2^h the longest step with Lambda dt <= _RATE_DT_MAX.
+def _uniformized(A: np.ndarray, t: float, start: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """exp(dt A) start, its Poisson cut K and h, for dt = t / 2^h.
 
-    Lambda is the least rate that keeps ``M = I + B / Lambda`` nonnegative
-    with row sums at most 2, so the Poisson(nu) weights, nu = Lambda dt
-    ||M||_inf, bound the terms ``(Lambda dt)^k / k! ||M^k||_inf``. The
-    series stops at the first K >= nu whose geometric tail bound is at most
-    ``ROUNDOFF_REL / 2^h`` of the weights summed so far: the h squarings
-    multiply the truncation error by up to 2^h.
+    ``start`` is the identity or the ones vector. With the diagonal shifted
+    nonpositive, ``B = A - shift I = Lambda (M - I)``, where Lambda = max(max
+    -B_ii, max row sum of B) keeps M nonnegative with row sums at most 2, so
+    exp(dt A) = e^(shift dt) sum_k Poisson(Lambda dt)_k M^k. Only a matrix
+    can be squared back, so only the identity is halved, to the longest
+    step with Lambda dt <= _RATE_DT_MAX. The weights of 0..K are normalized
+    by their sum, so the cut takes the Poisson(nu) tail at nu = Lambda dt
+    max(1, ||M||_inf): it bounds the terms ``(Lambda dt)^k / k! ||M^k||_inf``
+    and holds all but the tail of Poisson(Lambda dt). K is the first K >= nu
+    whose tail bound is at most ``ROUNDOFF_REL / 2^h``, since the h
+    squarings multiply the truncation error by up to 2^h. The terms are
+    summed by Horner, one sparse product of M a term.
     """
     # Imported here: at module level it adds 1-2 MB and ~15 ms to every import
     # of rpos, and only the diffusion model needs it.
@@ -387,30 +390,35 @@ def _halved_exponential(A: np.ndarray, t: float) -> tuple[np.ndarray, int]:
     shift = max(float(np.max(np.diag(A))), 0.0)
     B = A - shift * np.eye(n) if shift > 0.0 else A
     if not B.any():
-        return _exp(shift * t, t) * np.eye(n), 0
+        return _exp(shift * t, t) * start, 0, 0
     top_row = float(np.max(B.sum(axis=1)))
     lam = max(float(np.max(-np.diag(B))), top_row)
     halvings, dt = 0, t
-    while lam * dt > _RATE_DT_MAX:
+    while start.ndim == 2 and lam * dt > _RATE_DT_MAX:
         dt /= 2.0
         halvings += 1
     mu = lam * dt
-    nu = mu * (1.0 + top_row / lam)  # Lambda dt ||M||_inf
+    nu = mu * max(1.0, 1.0 + top_row / lam)  # Lambda dt max(1, ||M||_inf)
     if not math.isfinite(nu):
         raise NonFiniteError(f"exp(t A) has a non-finite Poisson rate at t = {t:.6g}")
-    coeffs = [_exp(shift * dt - mu, t)]  # e^(shift dt) Poisson(mu) weights
-    for k in range(1, _poisson_cut(nu, math.ldexp(ROUNDOFF_REL, -halvings)) + 1):
-        coeffs.append(coeffs[-1] * mu / k)
-    M = csr_array(np.eye(n) + B / lam)
-    diag = np.diag_indices(n)
-    acc = coeffs.pop() * np.eye(n)
+    K = _poisson_cut(nu, math.ldexp(ROUNDOFF_REL, -halvings))
+    w = _poisson_weights(mu, K) * _exp(shift * dt, t)
+    pattern = B != 0.0
+    np.fill_diagonal(pattern, True)
+    rows, cols = np.nonzero(pattern)
+    vals = B[rows, cols] / lam
+    vals[rows == cols] += 1.0
+    M = csr_array((vals, cols, np.searchsorted(rows, np.arange(n + 1))), shape=(n, n))
+    # the weights go on start's support: the diagonal of I, every entry of 1
+    support = np.diag_indices(n) if start.ndim == 2 else slice(None)
+    acc = w[-1] * start
     # sparse @ dense runs straight as CSR matvecs, while dense @ sparse would
     # transpose and copy the partial sum on every step
     with np.errstate(over="ignore", invalid="ignore"):
-        for c in reversed(coeffs):
+        for c in reversed(w[:-1]):
             acc = M @ acc
-            acc[diag] += c
-    return _finite(acc, f"exp(t A) overflows at t = {t:.6g}"), halvings
+            acc[support] += c
+    return _finite(acc, f"exp(t A) overflows at t = {t:.6g}"), K, halvings
 
 
 def _poisson_cut(nu: float, tol: float) -> int:
@@ -425,41 +433,6 @@ def _poisson_cut(nu: float, tol: float) -> int:
         x = q * nu / k
         q = x / (1.0 + x)
     return k
-
-
-def _exp_ones(A: np.ndarray, t: float) -> tuple[np.ndarray, int]:
-    """exp(t A) 1 and its number of terms K, for a generator with nonnegative
-    off-diagonals and row sums at most 0.
-
-    With Lambda = max(-A_ii), M = I + A / Lambda is substochastic, so
-    exp(t A) 1 is the Poisson(Lambda t) mixture of the vectors M^k 1, each in
-    [0, 1]. The series is cut at ``_poisson_cut(Lambda t, ROUNDOFF_REL)`` and
-    summed by Horner on the ones vector: K sparse products and no N x N
-    array. A row sum above round-off raises ValueError, since M would not be
-    substochastic and the Poisson tail would not bound the cut.
-    """
-    from scipy.sparse import csr_array
-
-    _finite(A, "generator is non-finite")
-    n = A.shape[0]
-    lam = float(np.max(-np.diag(A)))
-    top_row = float(np.max(A.sum(axis=1)))
-    if top_row > ROUNDOFF_REL * lam:
-        raise ValueError(f"generator has a positive row sum {top_row:.6g}; M is not substochastic")
-    pattern = A != 0.0
-    np.fill_diagonal(pattern, True)
-    rows, cols = np.nonzero(pattern)
-    vals = A[rows, cols] / lam
-    vals[rows == cols] += 1.0
-    M = csr_array((vals, cols, np.searchsorted(rows, np.arange(n + 1))), shape=(n, n))
-    nu = lam * t
-    K = _poisson_cut(nu, ROUNDOFF_REL)
-    w = _poisson_weights(nu, K)
-    acc = np.full(n, w[-1])
-    for c in reversed(w[:-1]):
-        acc = M @ acc
-        acc += c
-    return acc, K
 
 
 def _poisson_weights(nu: float, K: int) -> np.ndarray:
@@ -503,8 +476,8 @@ class DiffusionFamily:
     step: TransferOperator
     n_substeps: int
     psi: WeightedFunction
-    #: the shifted-drift generator A_bar, whose exp(t0 A_bar) 1
-    #: ``girsanov_check`` sums as one sparse Poisson series, and the tilt rate a
+    #: the shifted-drift generator A_bar, whose exp(t0 A_bar) 1 ``girsanov_check``
+    #: sums as the step's Poisson series on the ones vector, and the tilt rate a
     shifted_generator: np.ndarray
     a: float
 
@@ -514,9 +487,10 @@ def build_diffusion_generator(
 ) -> DiffusionFamily:
     """Discretize the generator and exponentiate it to a skeleton step.
 
-    The step S = P_delta is one uniformized exponential at delta =
+    The step S = P_delta is the uniformized exponential at delta =
     t0 / n_substeps, entrywise nonnegative; ``skeleton_analysis`` powers it
-    to P_t0 and ``girsanov_check`` applies it n_substeps times. The stencil
+    to P_t0 and ``girsanov_check`` applies it n_substeps times. The same
+    Poisson series, from the ones vector, is the direct side of the check. The stencil
     of ``girsanov_check`` and its tilt psi = exp(sum_i x_i) are made too,
     before the exponential, so a mesh too coarse for either stencil, or a
     box where psi leaves the float range (NonFiniteError naming the largest
@@ -569,10 +543,11 @@ def girsanov_check(family: DiffusionFamily) -> GirsanovReport:
     ``kappa = a - r - d/2 - sum_i b_i >= 0``, up to mesh error. Only their
     action on the constant function is compared: the tilt's is
     S^n psi / (c psi), the row masses of ``tilt_submarkov``, with the step
-    applied n times to psi, and the direct side's exp(t0 A_bar) 1 is one
-    Poisson series over the whole horizon, summed on the ones vector with
-    sparse products. A normalizer outside the float range, or a direct side
-    that underflows to 0, raises NonFiniteError naming a t0.
+    applied n times to psi, and the direct side's exp(t0 A_bar) 1 is the
+    step's Poisson series (``_uniformized``) from the ones vector over the
+    whole horizon: no halving, K sparse products and no N x N array. A
+    normalizer outside the float range, or a direct side that underflows to
+    0, raises NonFiniteError naming a t0.
     """
     model = family.model
     at0 = family.a * model.t0
@@ -582,7 +557,7 @@ def girsanov_check(family: DiffusionFamily) -> GirsanovReport:
         c = math.inf
     if not 0.0 < c < math.inf:
         raise NonFiniteError(f"Girsanov normalizer exp(a t0) is {c} at a t0 = {at0:.6g}")
-    direct, _ = _exp_ones(family.shifted_generator, model.t0)
+    direct = _uniformized(family.shifted_generator, model.t0, np.ones(family.step.space.size))[0]
     psi = family.psi.values
     tilted = next(islice(orbit(family.step.kernel, psi), family.n_substeps, None)) / psi / c
     peak = float(np.max(np.abs(direct)))

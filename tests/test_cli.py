@@ -163,8 +163,9 @@ class TestCheckGCommand:
         assert list(rep["g4"]["n4"]) == ["0"]
 
     def test_heavy_cycle_is_a_g1_failure_with_a_report(self, tmp_path, capsys):
-        # The 20-cycle with weights 1e10 ends its (G1) search at n1 = 2N as a
-        # FAIL; an unscaled orbit would overflow at step 30 and write nothing.
+        # The 20-cycle with weights 1e10 ends its (G1) search at n1 = N, where
+        # P_0's zero pattern repeats, as a FAIL; an unscaled orbit would
+        # overflow at step 30 and write nothing.
         n = 20
         cycle = {
             "points": [[float(i)] for i in range(n)],
@@ -176,9 +177,9 @@ class TestCheckGCommand:
         out = tmp_path / "out"
         assert run(["check-g", "--config", cfg, "--out", out]) == 1
         rep = json.loads((out / "report.json").read_text())["g_report"]
-        assert rep["g1"]["pass"] is False and rep["g1"]["n1"] == 2 * n
+        assert rep["g1"]["pass"] is False and rep["g1"]["n1"] == n
         stdout = capsys.readouterr().out
-        assert "g1  FAIL  c1=0 n1=40" in stdout and "overall  FAIL" in stdout
+        assert "g1  FAIL  c1=0 n1=20" in stdout and "overall  FAIL" in stdout
 
     def test_n1_is_no_longer_a_key(self, tmp_path, capsys):
         # (G1) finds its own horizon; a config that still sets one is refused

@@ -133,7 +133,7 @@ def lazy_walk(n, stay=0.5):
 
 class TestG1Search:
     # The first n1 <= 2N with mass, off one power-of-two-scaled pass that
-    # stops once the zero pattern of the K rows repeats the previous step's.
+    # stops once the zero pattern of the K rows repeats an earlier one.
     def test_two_cycle_passes_at_the_second_step(self):
         # P_1 1_{0} vanishes at state 0; P_2 returns all of it
         P = make_operator([[0.0, 1.0], [1.0, 0.0]])
@@ -181,13 +181,23 @@ class TestG1Search:
             check_g1(P, full_mask(P), ones(P))
         assert err.value.step == 20
 
-    def test_heavy_cycle_fails_at_twice_its_size(self):
-        # the supports shift round the cycle and change at every step; an
-        # unscaled orbit would overflow at step 31
-        P = make_operator(1e10 * np.roll(np.eye(20), 1, axis=1))
+    @pytest.mark.parametrize("n, weight", [(20, 1e10), (200, 100.0)])
+    def test_heavy_cycle_fails_at_its_size(self, n, weight):
+        # the supports shift round the cycle and are P_0's again at n, not
+        # at 2N; unscaled, the 20-cycle's orbit would overflow at step 31
+        P = make_operator(weight * np.roll(np.eye(n), 1, axis=1))
         res = check_g1(P, full_mask(P), ones(P))
         assert not res.passed and res.c1 == 0.0
-        assert res.n1 == 40
+        assert res.n1 == n
+
+    def test_cycle_after_a_transient_fails_at_its_first_repeat(self):
+        # 0 -> 1 <-> 2: the row of 0 is e1, e2, e1, ..., so n = 3 repeats
+        # n = 1's pattern, though neither P_0's nor the previous step's
+        P = make_operator([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        K = SubsetMask.from_indices(P.space, [0])
+        res = check_g1(P, K, ones(P))
+        assert not res.passed and res.c1 == 0.0
+        assert res.n1 == 3
 
 
 class TestG2:

@@ -31,13 +31,7 @@ from rpos import (
     vector_field,
 )
 from rpos.core import ROUNDOFF_REL, NonFiniteError
-from rpos.models import (
-    ConfigError,
-    _exp_ones,
-    _halved_exponential,
-    _poisson_cut,
-    _poisson_weights,
-)
+from rpos.models import ConfigError, _poisson_cut, _poisson_weights, _uniformized
 
 
 def test_import_loads_no_scipy_module():
@@ -370,7 +364,7 @@ class TestUniformization:
         A = build_diffusion_generator(
             small_diffusion(f"const:{v}", "const:0", L, grid_n=grid_n), n_substeps=1
         ).generator
-        assert _halved_exponential(A, 1.0)[1] == 9
+        assert _uniformized(A, 1.0, np.eye(grid_n))[2] == 9
         h = L / (grid_n + 1)
         up, down = 0.5 / h**2 + v / (2 * h), 0.5 / h**2 - v / (2 * h)
         exact = -1 / h**2 + 2 * np.sqrt(up * down) * np.cos(np.pi / (grid_n + 1))
@@ -417,10 +411,11 @@ class TestOnesSeries:
     )
     def test_matches_the_dense_exponential_on_the_ones_vector(self, dim, grid_n, L, t0, terms):
         A = shifted_family(dim, grid_n, L, t0).shifted_generator
-        ours, k = _exp_ones(A, t0)
+        ours, k, halvings = _uniformized(A, t0, np.ones(A.shape[0]))
         oracle = scipy.linalg.expm(t0 * A) @ np.ones(A.shape[0])
         assert np.max(np.abs(ours - oracle)) <= ROUNDOFF_REL * np.max(oracle)
         assert k == terms == _poisson_cut(float(np.max(-np.diag(A))) * t0, ROUNDOFF_REL)
+        assert halvings == 0  # a vector cannot be squared back
 
     def test_weights_past_the_exponential_underflow(self):
         # e^-nu is 0 in floats here; the weights grow out from the mode instead.
@@ -431,10 +426,27 @@ class TestOnesSeries:
         mode = np.exp(nu * np.log(nu) - nu - math.lgamma(nu + 1.0))
         assert w[int(nu)] == pytest.approx(mode, rel=1e-9)
 
-    def test_positive_row_sum_is_refused(self):
+    def test_positive_row_sum_matches_expm(self):
+        # Lambda = 1 and ||M||_inf = 1.5: the cut is taken at nu = 1.5
         A = np.array([[-1.0, 1.5], [0.5, -1.0]])
-        with pytest.raises(ValueError, match="positive row sum 0.5"):
-            _exp_ones(A, 1.0)
+        ours = _uniformized(A, 1.0, np.ones(2))[0]
+        oracle = scipy.linalg.expm(A) @ np.ones(2)
+        assert np.max(np.abs(ours - oracle)) <= ROUNDOFF_REL * np.max(oracle)
+
+    @pytest.mark.parametrize("t", [0.5, 3.0])
+    def test_strong_killing_keeps_the_whole_poisson_mass(self, t):
+        # ||M||_inf = 1 / 11. The weights of 0..K are normalized by their
+        # sum, so a cut at Lambda dt ||M||_inf would drop Poisson(Lambda dt)
+        # mass and spread it back over the kept terms; the cut is taken at
+        # Lambda dt max(1, ||M||_inf).
+        n = 40
+        A = -11.0 * np.eye(n) + 0.5 * (np.eye(n, k=1) + np.eye(n, k=-1))
+        step, _, halvings = _uniformized(A, t, np.eye(n))
+        oracle = scipy.linalg.expm(math.ldexp(t, -halvings) * A)
+        assert np.max(np.abs(step - oracle)) <= ROUNDOFF_REL * np.max(oracle)
+        ours = _uniformized(A, t, np.ones(n))[0]
+        oracle = scipy.linalg.expm(t * A) @ np.ones(n)
+        assert np.max(np.abs(ours - oracle)) <= ROUNDOFF_REL * np.max(oracle)
 
     def test_girsanov_holds_no_dense_square(self):
         fam = shifted_family(2, 28, 5.0, 1.0)
@@ -607,7 +619,8 @@ class TestDiffusion:
         # in TestOnesSeries) stands for the dense exp(t0 A_bar), whose step
         # is halved h times and squared back
         fam = shifted_family(dim, grid_n, L, t0)
-        assert _halved_exponential(fam.shifted_generator, t0)[1] == halvings
+        n = fam.step.space.size
+        assert _uniformized(fam.shifted_generator, t0, np.eye(n))[2] == halvings
         rep = girsanov_check(fam)
         tilt = tilt_submarkov(p_t0(fam), fam.psi, c=np.exp(fam.a * t0))
         ones = np.ones(fam.step.space.size)
@@ -650,7 +663,7 @@ class TestDiffusion:
         psi = fam.psi.values
         moved = np.linalg.matrix_power(fam.step.kernel, fam.n_substeps) @ psi
         tilted = np.exp(np.log(moved) - np.log(psi) - fam.a * model.t0)
-        step, halvings = _halved_exponential(fam.shifted_generator, model.t0)
+        step, _, halvings = _uniformized(fam.shifted_generator, model.t0, np.eye(psi.size))
         direct = np.ones(psi.size)
         for _ in range(2**halvings):
             direct = step @ direct
